@@ -107,7 +107,7 @@ def run_cell(n_db: int, scale: float, strategy: str) -> dict:
     wall_s = time.perf_counter() - start
     warm = engine.execute(workload.query, strategy)
     unbatched = engine.execute(
-        workload.query, strategy, batch_checks=False
+        workload.query, strategy, engine.options.with_(batch_checks=False)
     )
     row_path = engine.execute(
         workload.query, strategy, engine.options.with_(columnar=False)

@@ -138,15 +138,14 @@ def _leaf_atoms(row) -> List:
 class ReCertifier:
     """Monotone, incremental repair of a degraded execution report.
 
-    *ctx* carries the reachability view the repair runs under: ``None``
-    (the default the engine passes for a fully recovered federation)
-    treats every present site as reachable; a live
-    :class:`~repro.faults.injector.ExecutionContext` yields partial
-    repairs that leave still-blocked conditions (and an updated repair
-    state) in place.
+    *ctx* carries the reachability view the repair runs under: a
+    fault-free context (what the engine builds for a fully recovered
+    federation) treats every present site as reachable; a faulted one
+    yields partial repairs that leave still-blocked conditions (and an
+    updated repair state) in place.
     """
 
-    def __init__(self, system, ctx=None):
+    def __init__(self, system, ctx):
         self.system = system
         self.ctx = ctx
         self.state = SystemState.current(system, ctx)

@@ -3,7 +3,9 @@
 :class:`ExecutionOptions` replaces the ``fault_plan`` / ``policy`` /
 ``fault_seed`` / ``batch_checks`` / ``failover`` override-kwarg sprawl
 that :meth:`GlobalQueryEngine.execute` and ``compare`` used to thread
-through every call.  An engine (and each
+through every call.  The engine builds each execution's
+:class:`~repro.faults.injector.ExecutionContext` from it, and strategies
+read their settings from ``ctx.options``.  An engine (and each
 :class:`~repro.core.session.EngineSession`) holds one instance as its
 default; callers derive variants with :meth:`ExecutionOptions.with_`::
 
@@ -27,8 +29,9 @@ from typing import Optional, Union
 from repro.faults.plan import FaultPlan
 from repro.faults.policy import ExecutionPolicy, resolve_policy
 
-#: Field names accepted by :meth:`ExecutionOptions.with_` (and by the
-#: engine's deprecated legacy kwargs).
+#: Field names accepted by :meth:`ExecutionOptions.with_` — the only
+#: per-execution settings there are; each reaches a strategy through
+#: ``ExecutionContext.options``.
 OPTION_FIELDS = (
     "fault_plan",
     "policy",
@@ -52,8 +55,8 @@ class ExecutionOptions:
 
     Attributes:
         fault_plan: deterministic outages/link degradation to inject;
-            ``None`` (or an inactive plan) keeps the execution
-            byte-identical to a fault-free run.
+            ``None`` (or an inactive plan) makes the execution context
+            inert, so the run is byte-identical to a fault-free one.
         policy: fault-handling policy — an
             :class:`~repro.faults.policy.ExecutionPolicy`, a preset name,
             or an inline spec like ``"degrade:timeout=0.5,retries=3"``.

@@ -37,38 +37,13 @@ from repro.core.strategies.registry import (
     resolve,
 )
 
-# --- deprecated shims --------------------------------------------------------
-# The tuples and strategy_by_name() predate the registry; they survive as
-# views of DEFAULT_REGISTRY so older callers keep working.
-
-#: Deprecated: use ``DEFAULT_REGISTRY.infos(paper_only=True)``.
-PAPER_STRATEGIES = (
-    CentralizedStrategy,
-    BasicLocalizedStrategy,
-    ParallelLocalizedStrategy,
-)
-
-#: Deprecated: use ``DEFAULT_REGISTRY.infos()``.
-ALL_STRATEGIES = PAPER_STRATEGIES + (
-    SignatureBasicLocalizedStrategy,
-    SignatureParallelLocalizedStrategy,
-)
-
-
-def strategy_by_name(name: str) -> Strategy:
-    """Deprecated alias for :func:`repro.core.strategies.registry.resolve`."""
-    return resolve(name)
-
-
 __all__ = [
-    "ALL_STRATEGIES",
     "DEFAULT_REGISTRY",
     "AdaptiveStrategy",
     "BasicLocalizedStrategy",
     "CentralizedStrategy",
     "DispatchPlan",
     "NullRatioSample",
-    "PAPER_STRATEGIES",
     "ParallelLocalizedStrategy",
     "SignatureBasicLocalizedStrategy",
     "SignatureParallelLocalizedStrategy",
@@ -82,5 +57,4 @@ __all__ = [
     "plan_dispatch",
     "resolve",
     "run_checks",
-    "strategy_by_name",
 ]

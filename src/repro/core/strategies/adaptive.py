@@ -201,7 +201,7 @@ class AdaptiveStrategy(Strategy):
 
     @staticmethod
     def _unreachable_sites(
-        system: DistributedSystem, ctx: Optional[ExecutionContext]
+        system: DistributedSystem, ctx: ExecutionContext
     ) -> Tuple[str, ...]:
         """Sites the fault plan makes unreachable at dispatch time.
 
@@ -211,8 +211,6 @@ class AdaptiveStrategy(Strategy):
         outcomes before the delegate runs and corrupt the execution's
         availability bookkeeping.
         """
-        if ctx is None or not ctx.plan.active:
-            return ()
         down: List[str] = []
         for site in system.site_names:
             if ctx.plan.is_down(site, 0.0):
@@ -227,7 +225,7 @@ class AdaptiveStrategy(Strategy):
         self,
         system: DistributedSystem,
         query: Query,
-        ctx: Optional[ExecutionContext] = None,
+        ctx: ExecutionContext,
     ) -> Dict[str, float]:
         """Analytic per-strategy predictions for the chosen objective.
 
@@ -247,7 +245,7 @@ class AdaptiveStrategy(Strategy):
         steers the pick.
         """
         params, self.last_notes = extract_params_ex(system, query)
-        mode = self.effective_planner(ctx)
+        mode = ctx.options.planner
         feedback = system.planner_feedback
         self.last_used_feedback = uses_feedback(mode) and feedback.has_data
         if self.last_used_feedback:
@@ -285,28 +283,26 @@ class AdaptiveStrategy(Strategy):
             predictions["CA"] *= 1e3 * len(penalized)
         return predictions
 
-    def execute(self, system: DistributedSystem, query: Query, ctx=None) -> StrategyResult:
-        from repro.core.strategies import strategy_by_name
+    def execute(
+        self,
+        system: DistributedSystem,
+        query: Query,
+        ctx: ExecutionContext,
+    ) -> StrategyResult:
+        from repro.core.strategies.registry import DEFAULT_REGISTRY
         from repro.obs.spans import TraceEvent
 
         predictions = self.predict(system, query, ctx)
         choice = min(predictions, key=predictions.get)
         self.last_choice = choice
         self.last_predictions = predictions
-        delegate = strategy_by_name(choice)
-        delegate.batch_checks = self.effective_batch_checks(ctx)
-        delegate.columnar = self.effective_columnar(ctx)
-        delegate.planner = self.effective_planner(ctx)
-        if ctx is None:
-            result = delegate.execute(system, query)
-        else:
-            result = delegate.execute(system, query, ctx)
+        result = DEFAULT_REGISTRY.create(choice).execute(system, query, ctx)
         result.metrics.strategy = f"AUTO->{choice}"
         result.metrics.add_event(TraceEvent.of(
             "auto.predict",
             choice=choice,
             objective=self.objective,
-            planner=self.effective_planner(ctx),
+            planner=ctx.options.planner,
             used_feedback=str(self.last_used_feedback).lower(),
             unreachable=",".join(self.last_unreachable) or "none",
             observed_unreliable=(

@@ -76,114 +76,22 @@ class Strategy(abc.ABC):
 
     #: Short name used in reports ("CA", "BL", "PL", "BL-S", "PL-S").
     name: str = "?"
-    #: Coalesce phase-O check/chase requests per (src, dst) link into one
-    #: batched exchange (the engine's ``--no-batch`` escape hatch flips
-    #: this to the historical one-message-per-request protocol).  Only
-    #: the localized strategies dispatch checks; CA ignores the flag.
-    batch_checks: bool = True
-    #: Whether flipping :attr:`batch_checks` changes this strategy's
-    #: execution at all.  CA never dispatches checks, so it sets this to
-    #: False; the difftest oracle uses the flag to know which strategies
-    #: owe a batched-vs-unbatched equivalence proof.
-    affected_by_batching: bool = True
-    #: Evaluate local queries / assistant checks / the outerjoin merge
-    #: through the columnar extent kernels (the engine's
-    #: ``--no-columnar`` escape hatch flips this back to the per-object
-    #: row path).  A transparency contract like :attr:`batch_checks`:
-    #: answers, work counters and raised errors are byte-identical
-    #: either way.
-    columnar: bool = True
-    #: Whether flipping :attr:`columnar` changes this strategy's
-    #: execution path at all.  Every shipped strategy evaluates locally
-    #: (CA through ``materialize``), so they all owe the difftest oracle
-    #: a columnar-vs-row equivalence proof.
-    affected_by_columnar: bool = True
-    #: Adaptive-planning mode of this execution (see
-    #: :data:`repro.planner.PLANNER_MODES`): ``constraints``/``full``
-    #: let the localized strategies prune provably-irrelevant sites and
-    #: assistant checks via the constraint catalog; ``feedback``/``full``
-    #: let AUTO rank CA/BL/PL from observed conditions.  Same carrier
-    #: contract as :attr:`columnar`: answers are identical in every mode.
-    planner: str = "static"
-    #: Whether the planner mode changes this strategy's execution at
-    #: all.  CA neither prunes nor predicts, so it opts out; the
-    #: difftest oracle uses the flag to know which strategies owe a
-    #: planner answer-identity proof.
-    affected_by_planner: bool = True
-    #: Attach discharge conditions to maybe/uncertified rows and capture
-    #: the repair state that makes a degraded answer incrementally
-    #: re-certifiable (the engine's ``--no-conditions`` escape hatch
-    #: flips this off).  Conditions never reach exported answers, so the
-    #: flag cannot change answer bytes.
-    conditions: bool = True
 
     @abc.abstractmethod
     def execute(
         self,
         system: DistributedSystem,
         query: Query,
-        ctx: Optional[ExecutionContext] = None,
+        ctx: ExecutionContext,
     ) -> StrategyResult:
         """Run *query* on *system*; return answer and metrics.
 
-        *ctx* is the fault context of this execution; ``None`` (the
-        default, and what fault-free engine runs pass) means no fault
-        injection and must leave the execution byte-identical to the
-        pre-fault-layer behavior.
+        *ctx* is this execution's context: ``ctx.options`` carries every
+        per-execution setting (check batching, columnar path, planner
+        mode, conditions), and ``ctx.contact`` negotiates each site
+        link.  With faults off the context is inert, so the same code
+        path yields the fault-free answer byte for byte.
         """
-
-    def effective_batch_checks(self, ctx: Optional[ExecutionContext]) -> bool:
-        """This execution's wire protocol: the context override wins.
-
-        The engine never mutates a (possibly shared) Strategy instance;
-        a per-execution ``batch_checks`` override travels on the
-        :class:`ExecutionContext` when faults are active and on a
-        private copy of the strategy otherwise.  Strategies must consult
-        this instead of reading :attr:`batch_checks` directly wherever a
-        context is in scope.
-        """
-        if ctx is not None and ctx.batch_checks is not None:
-            return ctx.batch_checks
-        return self.batch_checks
-
-    def effective_columnar(self, ctx: Optional[ExecutionContext]) -> bool:
-        """This execution's local-evaluation path: the context override wins.
-
-        Same carrier rule as :meth:`effective_batch_checks` — the
-        per-execution ``columnar`` override travels on the
-        :class:`ExecutionContext` when faults are active and on a private
-        copy of the strategy otherwise, so a shared Strategy instance is
-        never mutated.
-        """
-        if ctx is not None and ctx.columnar is not None:
-            return ctx.columnar
-        return self.columnar
-
-    def effective_planner(self, ctx: Optional[ExecutionContext]) -> str:
-        """This execution's planner mode: the context override wins.
-
-        Same carrier rule as :meth:`effective_batch_checks` — the
-        per-execution ``planner`` override travels on the
-        :class:`ExecutionContext` when faults are active and on a
-        private copy of the strategy otherwise, so a shared Strategy
-        instance is never mutated.
-        """
-        if ctx is not None and ctx.planner is not None:
-            return ctx.planner
-        return self.planner
-
-    def effective_conditions(self, ctx: Optional[ExecutionContext]) -> bool:
-        """This execution's condition capture: the context override wins.
-
-        Same carrier rule as :meth:`effective_batch_checks` — the
-        per-execution ``conditions`` override travels on the
-        :class:`ExecutionContext` when faults are active and on a
-        private copy of the strategy otherwise, so a shared Strategy
-        instance is never mutated.
-        """
-        if ctx is not None and ctx.conditions is not None:
-            return ctx.conditions
-        return self.conditions
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name}>"
@@ -540,7 +448,7 @@ def chase_blocked(
     system: DistributedSystem,
     verdicts: VerdictIndex,
     max_rounds: int,
-    ctx: Optional[ExecutionContext] = None,
+    ctx: ExecutionContext,
     deferred_skips: Optional[List[Tuple]] = None,
     columnar: bool = True,
     skip_log: Optional[List[Tuple]] = None,
@@ -602,9 +510,7 @@ def chase_blocked(
                 )
                 if depth is not None and depth == 0:
                     continue  # cannot even start the walk there
-                if ctx is not None and not ctx.reachable(
-                    system.global_site, assistant.db
-                ):
+                if not ctx.reachable(system.global_site, assistant.db):
                     # The follow-up check cannot be issued; the chain
                     # stays UNKNOWN and the row remains maybe — unless
                     # failover defers the verdict to a live copy.

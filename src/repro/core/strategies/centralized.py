@@ -17,7 +17,7 @@ from repro.conditions.reasons import DegradationReason
 from repro.core.decompose import attributes_needed
 from repro.core.predicates import EvalMeter, evaluate_dnf, walk_path
 from repro.core.query import Query
-from repro.core.results import Availability, GlobalResult, ResultKind, ResultSet
+from repro.core.results import GlobalResult, ResultKind, ResultSet
 from repro.core.strategies.base import Strategy, StrategyResult, fault_wait_chain
 from repro.core.system import DistributedSystem
 from repro.core.tvl import TV
@@ -115,27 +115,15 @@ class CentralizedStrategy(Strategy):
     """The paper's algorithm CA."""
 
     name = "CA"
-    #: CA ships whole extents and never dispatches phase-O checks, so
-    #: the batching flag cannot change its execution.
-    affected_by_batching = False
-    #: The columnar flag does reach CA: it picks the outerjoin merge
-    #: path (batched per-attribute merge vs per-object), so CA owes the
-    #: oracle the columnar equivalence proof like everyone else.
-    affected_by_columnar = True
-    #: CA ships whole extents unconditionally — it never consults the
-    #: constraint catalog (nothing to prune: no per-site evaluation, no
-    #: assistant checks) and has no strategy pick for feedback to steer,
-    #: so the planner mode cannot change its execution.
-    affected_by_planner = False
 
     def execute(
         self,
         system: DistributedSystem,
         query: Query,
-        ctx: Optional[ExecutionContext] = None,
+        ctx: ExecutionContext,
     ) -> StrategyResult:
         query.validate(system.global_schema.schema)
-        fed = system.simulator(ctx.plan if ctx is not None else None)
+        fed = system.simulator(ctx.plan)
         work = WorkCounters()
         cost = system.cost_model
         fault_events: List[TraceEvent] = []
@@ -151,25 +139,21 @@ class CentralizedStrategy(Strategy):
         }
         ship_nodes = []
         for db_name, db in system.databases.items():
-            entry_deps: List = []
-            if ctx is not None:
-                negotiation = ctx.contact(system.global_site, db_name)
-                entry_deps = fault_wait_chain(
-                    fed, ctx, negotiation, fault_events
-                )
-                if not negotiation.ok:
-                    # The extent never ships: the fused outerjoin will
-                    # run over a partial materialization.
-                    skipped_sites.append(db_name)
-                    fault_events.append(
-                        TraceEvent.of(
-                            "fault.site_skipped",
-                            site=db_name,
-                            reason=negotiation.reason,
-                            attempts=len(negotiation.attempts),
-                        )
+            negotiation = ctx.contact(system.global_site, db_name)
+            entry_deps = fault_wait_chain(fed, ctx, negotiation, fault_events)
+            if not negotiation.ok:
+                # The extent never ships: the fused outerjoin will run
+                # over a partial materialization.
+                skipped_sites.append(db_name)
+                fault_events.append(
+                    TraceEvent.of(
+                        "fault.site_skipped",
+                        site=db_name,
+                        reason=negotiation.reason,
+                        attempts=len(negotiation.attempts),
                     )
-                    continue
+                )
+                continue
             site_bytes = 0
             site_objects = 0
             shipped: List[Tuple[str, List[LocalObject]]] = []
@@ -232,7 +216,7 @@ class CentralizedStrategy(Strategy):
             system.catalog,
             exports_by_class,
             stats,
-            columnar=self.effective_columnar(ctx),
+            columnar=ctx.options.columnar,
         )
         work.comparisons += stats.comparisons
         integrate = fed.cpu(
@@ -244,7 +228,7 @@ class CentralizedStrategy(Strategy):
         )
 
         # --- step CA_G3: evaluate predicates on materialized classes (P) ---
-        use_conditions = self.effective_conditions(ctx)
+        use_conditions = ctx.options.conditions
         meter = EvalMeter()
         results = evaluate_global_extent(
             query, extent, meter, conditions=use_conditions
@@ -260,7 +244,7 @@ class CentralizedStrategy(Strategy):
 
         # --- degraded-answer semantics under site loss ---------------------
         repair_state = None
-        if ctx is not None and skipped_sites:
+        if skipped_sites:
             demoted = demote_outerjoin_incomplete(
                 results, skipped_sites, conditions=use_conditions
             )
@@ -279,7 +263,7 @@ class CentralizedStrategy(Strategy):
 
                 repair_state = CentralizedRepairState(
                     query=query,
-                    columnar=self.effective_columnar(ctx),
+                    columnar=ctx.options.columnar,
                     involved_classes=involved_classes,
                     exports_by_class=exports_by_class,
                     skipped_sites=tuple(sorted(skipped_sites)),
@@ -293,12 +277,9 @@ class CentralizedStrategy(Strategy):
                     )
                 )
 
-        fault_windows = ()
-        if ctx is not None:
-            work.retries = ctx.retries
-            work.timeouts = ctx.timeouts
-            work.messages_lost = ctx.messages_lost
-            fault_windows = ctx.plan.fault_windows(fed.sites)
+        work.retries = ctx.retries
+        work.timeouts = ctx.timeouts
+        work.messages_lost = ctx.messages_lost
 
         outcome_sim = fed.run()
         metrics = ExecutionMetrics.from_outcome(
@@ -313,13 +294,11 @@ class CentralizedStrategy(Strategy):
                 objects_shipped=work.objects_shipped,
                 outerjoin_comparisons=stats.comparisons,
             )] + fault_events,
-            fault_windows=fault_windows,
+            fault_windows=ctx.plan.fault_windows(fed.sites),
         )
         return StrategyResult(
             results=results.sort(),
             metrics=metrics,
-            availability=(
-                ctx.availability() if ctx is not None else Availability()
-            ),
+            availability=ctx.availability(),
             repair=repair_state,
         )

@@ -40,7 +40,7 @@ from repro.core.certification import (
 )
 from repro.core.decompose import attributes_needed
 from repro.core.query import Query
-from repro.core.results import Availability, ResultSet
+from repro.core.results import ResultSet
 from repro.core.strategies.base import (
     DispatchPlan,
     Strategy,
@@ -168,14 +168,14 @@ class _LocalizedStrategy(Strategy):
         self,
         system: DistributedSystem,
         query: Query,
-        ctx: Optional[ExecutionContext] = None,
+        ctx: ExecutionContext,
     ) -> StrategyResult:
         decomposed = system.decompose(query)
-        fed = system.simulator(ctx.plan if ctx is not None else None)
+        fed = system.simulator(ctx.plan)
         work = WorkCounters()
         cost = system.cost_model
-        use_columnar = self.effective_columnar(ctx)
-        use_conditions = self.effective_conditions(ctx)
+        use_columnar = ctx.options.columnar
+        use_conditions = ctx.options.conditions
         # Constraint catalog, consulted only under planner=constraints/full.
         # Soundness contract: a prune fires only when the static path
         # would provably produce the identical answer (empty local result
@@ -183,7 +183,7 @@ class _LocalizedStrategy(Strategy):
         # like an unasked check).
         constraints = (
             system.constraints
-            if uses_constraints(self.effective_planner(ctx))
+            if uses_constraints(ctx.options.planner)
             else None
         )
 
@@ -201,7 +201,7 @@ class _LocalizedStrategy(Strategy):
         # Failover mode: skipped check pairs are not demoted eagerly but
         # resolved after verdict collection (a live isomeric copy may
         # have settled them anyway).
-        failover = ctx is not None and ctx.failover
+        failover = ctx.failover
         if failover:
             ctx.recovery_tracked = True
         #: (src, request, pending pairs) per check request that could not
@@ -219,13 +219,9 @@ class _LocalizedStrategy(Strategy):
         # the execution entirely, so they must not skew the average
         # (negotiations are memoized — the per-site loop below reuses
         # these outcomes without re-paying any retry ladder).
-        if ctx is None:
-            surviving = queried
-        else:
-            surviving = [
-                db for db in queried
-                if ctx.contact(system.global_site, db).ok
-            ]
+        surviving = [
+            db for db in queried if ctx.contact(system.global_site, db).ok
+        ]
         avg_branch_bytes = self._avg_branch_bytes(system, query, surviving)
 
         for db_name, local_query in decomposed.local_queries.items():
@@ -250,25 +246,22 @@ class _LocalizedStrategy(Strategy):
                         reason=prune_reason,
                     ))
                     continue
-            entry_deps: List[Node] = []
-            if ctx is not None:
-                negotiation = ctx.contact(system.global_site, db_name)
-                entry_deps = fault_wait_chain(fed, ctx, negotiation, events)
-                if not negotiation.ok:
-                    # The whole site block drops out: its local results
-                    # are lost, but every other site's provenance is
-                    # intact — certification proceeds over the sites
-                    # actually queried.
-                    ctx.note_queried_site_down(db_name)
-                    events.append(
-                        TraceEvent.of(
-                            "fault.site_skipped",
-                            site=db_name,
-                            reason=negotiation.reason,
-                            attempts=len(negotiation.attempts),
-                        )
+            negotiation = ctx.contact(system.global_site, db_name)
+            entry_deps = fault_wait_chain(fed, ctx, negotiation, events)
+            if not negotiation.ok:
+                # The whole site block drops out: its local results are
+                # lost, but every other site's provenance is intact —
+                # certification proceeds over the sites actually queried.
+                ctx.note_queried_site_down(db_name)
+                events.append(
+                    TraceEvent.of(
+                        "fault.site_skipped",
+                        site=db_name,
+                        reason=negotiation.reason,
+                        attempts=len(negotiation.attempts),
                     )
-                    continue
+                )
+                continue
             db = system.db(db_name)
             root_obj_bytes, branch_obj_bytes = self._object_sizes(
                 system, query, db_name
@@ -361,9 +354,7 @@ class _LocalizedStrategy(Strategy):
             runnable = []
             relayed = []
             for request in plan.requests:
-                if ctx is not None and not ctx.reachable(
-                    db_name, request.db_name
-                ):
+                if not ctx.reachable(db_name, request.db_name):
                     if failover:
                         via = relay_route(ctx, system, request.db_name)
                         if via is not None:
@@ -516,7 +507,7 @@ class _LocalizedStrategy(Strategy):
             work.comparisons += chase.mapping_lookups
             certify_deps.append(lookup)
             round_replies: List[Node] = []
-            if self.effective_batch_checks(ctx):
+            if ctx.options.batch_checks:
                 for batch in batch_exchanges(
                     system.global_site, chase.pairs
                 ):
@@ -563,8 +554,7 @@ class _LocalizedStrategy(Strategy):
         res_stats = ResolutionStats()
         resolve_missing_bindings(system, query, results, ctx=ctx, stats=res_stats)
         work.comparisons += res_stats.mapping_lookups
-        if ctx is not None:
-            ctx.fetches_unresolved = res_stats.unresolved
+        ctx.fetches_unresolved = res_stats.unresolved
         if res_stats.fetches:
             events.append(TraceEvent.of(
                 "bindings.resolved",
@@ -609,9 +599,8 @@ class _LocalizedStrategy(Strategy):
         # Localized strategies keep per-site provenance, so only the
         # rows whose certification depended on an unreachable assistant
         # site are affected: they simply stay maybe, annotated with why.
-        if ctx is not None and (
-            unreachable_check_sites
-            or (use_conditions and ctx.queried_sites_down)
+        if unreachable_check_sites or (
+            use_conditions and ctx.queried_sites_down
         ):
             annotate_site_loss(
                 system,
@@ -630,7 +619,7 @@ class _LocalizedStrategy(Strategy):
         # the answer re-certified without re-running anything that
         # already succeeded.
         repair_state = None
-        if use_conditions and ctx is not None:
+        if use_conditions:
             down_sites = tuple(sorted(ctx.queried_sites_down))
             remaining_chase = tuple(
                 (site, orig_loid, orig_pred, holder, holder_cls, rest)
@@ -665,14 +654,11 @@ class _LocalizedStrategy(Strategy):
                     rows=len(results.maybe),
                 ))
 
-        fault_windows = ()
-        if ctx is not None:
-            work.retries = ctx.retries
-            work.timeouts = ctx.timeouts
-            work.messages_lost = ctx.messages_lost
-            work.checks_failed_over = ctx.checks_failed_over
-            work.hedges = ctx.hedges
-            fault_windows = ctx.plan.fault_windows(fed.sites)
+        work.retries = ctx.retries
+        work.timeouts = ctx.timeouts
+        work.messages_lost = ctx.messages_lost
+        work.checks_failed_over = ctx.checks_failed_over
+        work.hedges = ctx.hedges
 
         outcome = fed.run()
         metrics = ExecutionMetrics.from_outcome(
@@ -682,14 +668,12 @@ class _LocalizedStrategy(Strategy):
             certain_results=len(results.certain),
             maybe_results=len(results.maybe),
             events=events,
-            fault_windows=fault_windows,
+            fault_windows=ctx.plan.fault_windows(fed.sites),
         )
         return StrategyResult(
             results=results.sort(),
             metrics=metrics,
-            availability=(
-                ctx.availability() if ctx is not None else Availability()
-            ),
+            availability=ctx.availability(),
             repair=repair_state,
         )
 
@@ -699,7 +683,7 @@ class _LocalizedStrategy(Strategy):
         self,
         fed: FederationSim,
         system: DistributedSystem,
-        ctx: Optional[ExecutionContext],
+        ctx: ExecutionContext,
         db_name: str,
         paired: List[Tuple["CheckRequest", CheckReport]],
         relayed: List[Tuple["CheckRequest", CheckReport]],
@@ -723,18 +707,14 @@ class _LocalizedStrategy(Strategy):
         request races through the relay and the faster route carries the
         exchange while the loser's request message is still paid for.
         """
-        if self.effective_batch_checks(ctx):
+        if ctx.options.batch_checks:
             for batch in batch_exchanges(db_name, paired):
-                send_deps: List[Node] = [dispatch_node]
-                via: Optional[str] = None
-                if ctx is not None:
-                    negotiation = ctx.contact(db_name, batch.dst)
-                    send_deps, via = self._hedged_deps(
-                        fed, system, ctx, db_name, batch.dst,
-                        negotiation, send_deps,
-                        batch.request_bytes(system.cost_model),
-                        work, events,
-                    )
+                send_deps, via = self._hedged_deps(
+                    fed, system, ctx, db_name, batch.dst,
+                    ctx.contact(db_name, batch.dst), [dispatch_node],
+                    batch.request_bytes(system.cost_model),
+                    work, events,
+                )
                 certify_deps.append(self._schedule_batch(
                     fed, system, batch, send_deps, work,
                     avg_branch_bytes, events, kind="check", via=via,
@@ -754,18 +734,14 @@ class _LocalizedStrategy(Strategy):
                 ))
             return
         for request, report in paired:
-            send_deps = [dispatch_node]
-            via = None
-            if ctx is not None:
-                negotiation = ctx.contact(db_name, request.db_name)
-                send_deps, via = self._hedged_deps(
-                    fed, system, ctx, db_name, request.db_name,
-                    negotiation, send_deps,
-                    system.cost_model.check_request_bytes(
-                        len(request.loids), len(request.predicates)
-                    ),
-                    work, events,
-                )
+            send_deps, via = self._hedged_deps(
+                fed, system, ctx, db_name, request.db_name,
+                ctx.contact(db_name, request.db_name), [dispatch_node],
+                system.cost_model.check_request_bytes(
+                    len(request.loids), len(request.predicates)
+                ),
+                work, events,
+            )
             certify_deps.append(self._schedule_single(
                 fed, system, request, report, db_name, send_deps, work,
                 avg_branch_bytes, kind="check", via=via,

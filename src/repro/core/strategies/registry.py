@@ -1,14 +1,9 @@
 """Registry of query-execution strategies.
 
-Replaces the old module-level ``PAPER_STRATEGIES`` / ``ALL_STRATEGIES``
-tuples and the ``strategy_by_name`` lookup with one queryable object:
-each strategy is registered with metadata (short name, phase order,
+Each strategy is registered with metadata (short name, phase order,
 whether it consults signature files, whether it is one of the paper's
 three algorithms), so the CLI, benchmarks and docs can enumerate
 strategies without hard-coding their names.
-
-The old entry points remain as thin deprecated shims in
-:mod:`repro.core.strategies`.
 """
 
 from __future__ import annotations
@@ -56,6 +51,9 @@ class StrategyRegistry:
             raise ValueError(f"strategy {info.name!r} already registered")
         self._infos[key] = info
         return info
+
+    def __repr__(self) -> str:
+        return f"<StrategyRegistry {' '.join(self.names())}>"
 
     def __contains__(self, name: str) -> bool:
         return name.upper() in self._infos

@@ -10,15 +10,14 @@ reproduce.  What it checks:
     (:func:`repro.core.results.same_answers`: kinds, projected bindings,
     unsolved-predicate sets).
 ``batching``
-    For strategies whose execution batching can change at all
-    (:attr:`Strategy.affected_by_batching`), the unbatched answer
-    strictly equals the batched one.
+    For strategies whose execution batching can change at all (every
+    one not exempted in :data:`EXEMPT`), the unbatched answer strictly
+    equals the batched one.
 ``columnar``
-    For strategies that touch a columnar kernel at all
-    (:attr:`Strategy.affected_by_columnar`), flipping the columnar
-    extent path (batch 3VL predicate kernels, batched assistant
-    checks, batched outerjoin merge) and re-running yields an answer
-    strictly equal to the other path's — the transparency contract.
+    For every strategy, flipping the columnar extent path (batch 3VL
+    predicate kernels, batched assistant checks, batched outerjoin
+    merge) and re-running yields an answer strictly equal to the other
+    path's — the transparency contract.
 ``planner``
     For the :attr:`StrategyOracle.PLANNER_MATRIX` pairs, running with
     an adaptive planner mode (constraint pruning, trace feedback, or
@@ -84,6 +83,11 @@ from repro.objectdb.values import is_null
 
 #: Policy used for the fault suite (degrade to partial answers).
 FAULT_POLICY = "degrade"
+
+#: Invariants a strategy is exempt from because the flipped option cannot
+#: reach its execution: CA ships whole extents, so it never dispatches
+#: checks (``batching``) and neither prunes nor predicts (``planner``).
+EXEMPT = {"CA": frozenset({"batching", "planner"})}
 
 
 @dataclass(frozen=True)
@@ -176,7 +180,7 @@ class StrategyOracle:
         engine = GlobalQueryEngine(built.system)
         engine.ensure_signatures()
         # One session per case: every oracle execution flows through it
-        # with explicit ExecutionOptions (never the deprecated kwargs).
+        # with explicit ExecutionOptions.
         session = engine.session(name=f"difftest:{case.label}")
         if self.columnar is not None:
             session.options = session.options.with_(columnar=self.columnar)
@@ -227,7 +231,7 @@ class StrategyOracle:
         violations = []
         unbatched_options = session.options.with_(batch_checks=False)
         for name in self.strategy_names:
-            if not self.registry.create(name).affected_by_batching:
+            if "batching" in EXEMPT.get(name, ()):
                 continue
             unbatched = session.execute(
                 built.query, name, options=unbatched_options
@@ -247,16 +251,14 @@ class StrategyOracle:
         The transparency contract of the columnar extent kernels: batch
         3VL predicate evaluation, batched assistant checks and the
         batched outerjoin merge must reproduce the per-object row path
-        byte for byte.  Every strategy that touches a columnar kernel
-        (:attr:`Strategy.affected_by_columnar`) is re-run on the
-        opposite path and compared strictly against its base answer.
+        byte for byte.  Every strategy touches a columnar kernel (CA
+        through the outerjoin merge), so each is re-run on the opposite
+        path and compared strictly against its base answer.
         """
         violations = []
         base = session.options.columnar
         flipped_options = session.options.with_(columnar=not base)
         for name in self.strategy_names:
-            if not self.registry.create(name).affected_by_columnar:
-                continue
             other = session.execute(
                 built.query, name, options=flipped_options
             ).results
@@ -272,8 +274,8 @@ class StrategyOracle:
     #: (strategy, planner mode) pairs exercised by the planner invariant.
     #: BL and PL cover both localized phase orders under constraint
     #: pruning; AUTO covers the trace-fed pick; ``full`` composes both.
-    #: CA opts out via ``affected_by_planner = False`` (nothing to
-    #: prune, no pick to steer), and the signature variants share BL/PL's
+    #: CA is exempt (see :data:`EXEMPT`: nothing to prune, no pick to
+    #: steer), and the signature variants share BL/PL's
     #: pruning seam, so the matrix stays at six extra executions a case.
     PLANNER_MATRIX = (
         ("BL", "constraints"),
@@ -299,7 +301,7 @@ class StrategyOracle:
         for name, mode in self.PLANNER_MATRIX:
             if name not in self.strategy_names:
                 continue
-            if not self.registry.create(name).affected_by_planner:
+            if "planner" in EXEMPT.get(name, ()):
                 continue
             base = answers[name]
             if session.options.planner != "static":

@@ -1,4 +1,4 @@
-"""The fault injector and the per-execution fault context.
+"""The fault injector and the per-execution context.
 
 :class:`FaultInjector` turns a declarative
 :class:`~repro.faults.plan.FaultPlan` + :class:`~repro.faults.policy
@@ -15,9 +15,9 @@ a generator seeded with ``(fault seed, plan seed, src, dst)``, so the
 same plan + seed + query yields a byte-identical execution report, and
 outcomes do not depend on the order in which links are negotiated.
 
-:class:`ExecutionContext` wraps one execution's injector together with
-the availability bookkeeping every strategy shares (sites contacted /
-skipped / retried, messages lost, cumulative wait).
+:class:`ExecutionContext` is one execution's resolved options together
+with its injector and the availability bookkeeping every strategy shares
+(sites contacted / skipped / retried, messages lost, cumulative wait).
 """
 
 from __future__ import annotations
@@ -27,10 +27,11 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.core.options import ExecutionOptions
     from repro.resilience.health import SiteHealthRegistry
 
 from repro.errors import ExecutionTimeout, UnavailableError
-from repro.faults.plan import FaultPlan
+from repro.faults.plan import EMPTY_PLAN, FaultPlan
 from repro.faults.policy import DEGRADE, ExecutionPolicy
 
 #: Attempt outcomes.
@@ -146,50 +147,36 @@ class FaultInjector:
         return negotiation
 
 
-class ExecutionContext:
-    """One execution's fault state: injector + availability bookkeeping.
+#: The negotiation every contact returns when faults are off: one clean
+#: attempt, no wait.  Shared — it carries no per-link state.
+CLEAR = Negotiation(src="", dst="", ok=True, attempts=(Attempt(0.0, OK),))
 
-    Strategies call :meth:`contact` before talking to a site; the
-    context accumulates what :class:`~repro.core.results.Availability`
-    reports and enforces the policy's fail-fast and deadline semantics.
+
+class ExecutionContext:
+    """One execution's options and fault state.
+
+    Every execution has exactly one context, built by the engine from the
+    execution's resolved :class:`~repro.core.options.ExecutionOptions`
+    (``ctx.options``); strategies read their settings from it and call
+    :meth:`contact` before talking to a site.  The context accumulates
+    what :class:`~repro.core.results.Availability` reports and enforces
+    the policy's fail-fast and deadline semantics.
+
+    When ``options.faults_active`` is false the context is inert: every
+    contact is :data:`CLEAR` (no RNG, no bookkeeping), failover is off,
+    no health registry is built, and :meth:`availability` is the default
+    ``Availability()`` — so fault-free executions take the same code path
+    as faulted ones and stay byte-identical to a run with no fault layer.
     """
 
-    def __init__(
-        self,
-        plan: FaultPlan,
-        policy: ExecutionPolicy = DEGRADE,
-        seed: int = 0,
-        failover: bool = False,
-        health: Optional["SiteHealthRegistry"] = None,
-        batch_checks: Optional[bool] = None,
-        columnar: Optional[bool] = None,
-        planner: Optional[str] = None,
-        conditions: Optional[bool] = None,
-    ) -> None:
-        self.plan = plan
-        self.policy = policy
-        self.injector = FaultInjector(plan, policy, seed=seed)
-        #: This execution's wire protocol for phase-O checks.  Carried
-        #: here (not mutated onto the Strategy instance, which may be
-        #: shared between concurrent sessions); ``None`` defers to the
-        #: strategy's own default — see
-        #: :meth:`Strategy.effective_batch_checks`.
-        self.batch_checks = batch_checks
-        #: This execution's local-evaluation path (columnar extent
-        #: kernels vs per-object rows).  Same carrier pattern as
-        #: ``batch_checks``; ``None`` defers to the strategy's own
-        #: default — see :meth:`Strategy.effective_columnar`.
-        self.columnar = columnar
-        #: This execution's adaptive-planning mode ("static" /
-        #: "feedback" / "constraints" / "full").  Same carrier pattern
-        #: as ``batch_checks``; ``None`` defers to the strategy's own
-        #: default — see :meth:`Strategy.effective_planner`.
-        self.planner = planner
-        #: Whether this execution attaches discharge conditions and
-        #: captures repair state.  Same carrier pattern as
-        #: ``batch_checks``; ``None`` defers to the strategy's own
-        #: default — see :meth:`Strategy.effective_conditions`.
-        self.conditions = conditions
+    def __init__(self, options: ExecutionOptions) -> None:
+        self.options = options
+        self._faults = options.faults_active
+        self.plan = options.fault_plan if self._faults else EMPTY_PLAN
+        self.policy = options.policy
+        self.injector = FaultInjector(
+            self.plan, self.policy, seed=options.fault_seed
+        )
         self.contacted: List[str] = []
         self.skipped: List[str] = []
         self.retried: Dict[str, int] = {}
@@ -205,14 +192,14 @@ class ExecutionContext:
         self.scheduled_links: set = set()
         #: Replica failover: reroute checks over the global-site relay
         #: and demote rows only when every isomeric copy is unreachable.
-        self.failover = failover
-        if health is None and failover:
+        #: Off when no faults are injected (there is nothing to reroute).
+        self.failover = options.failover and self._faults
+        #: Per-site breakers; None when failover is off.
+        self.health: Optional["SiteHealthRegistry"] = None
+        if self.failover:
             from repro.resilience.health import SiteHealthRegistry
 
-            health = SiteHealthRegistry(seed=seed)
-        #: Per-site breakers; None when failover is disabled, keeping
-        #: the original contact path byte-identical.
-        self.health = health
+            self.health = SiteHealthRegistry(seed=options.fault_seed)
         #: Check requests recovered by rerouting through the relay.
         self.checks_failed_over = 0
         #: Hedge races fired / won by the relay route.
@@ -239,6 +226,8 @@ class ExecutionContext:
             UnavailableError: the link is dead and the policy fails fast.
             ExecutionTimeout: the cumulative wait blew the deadline.
         """
+        if not self._faults:
+            return CLEAR
         fresh = (src, dst) not in self.injector._memo
         if fresh and self.health is not None and not self.health.allow(dst):
             negotiation = Negotiation(
@@ -304,7 +293,7 @@ class ExecutionContext:
         are byte-deterministic and order-independent.
         """
         base = self.policy.hedge_delay_s
-        if base is None:
+        if base is None or not self._faults:
             return None
         u = random.Random(
             f"hedge:{self.injector.seed}:{self.plan.seed}:{src}->{dst}"
@@ -336,6 +325,8 @@ class ExecutionContext:
         """Snapshot the bookkeeping as a result annotation."""
         from repro.core.results import Availability
 
+        if not self._faults:
+            return Availability()
         return Availability(
             complete=self.complete,
             sites_contacted=tuple(sorted(self.contacted)),

@@ -2,10 +2,10 @@
 
 import pytest
 
-from helpers import make_workload
+from helpers import context, make_workload
 from repro.core.engine import GlobalQueryEngine
 from repro.core.results import same_answers
-from repro.core.strategies import AdaptiveStrategy, extract_params, strategy_by_name
+from repro.core.strategies import AdaptiveStrategy, extract_params, resolve
 from repro.errors import QueryError
 from repro.sqlx import parse_query
 from repro.workload.paper_example import Q1_TEXT, expected_q1_answers
@@ -59,14 +59,18 @@ class TestAdaptiveExecution:
 
     def test_choice_recorded(self, school):
         strategy = AdaptiveStrategy()
-        strategy.execute(school, parse_query(Q1_TEXT))
+        strategy.execute(school, parse_query(Q1_TEXT), context())
         assert strategy.last_choice in ("CA", "BL", "PL")
         assert set(strategy.last_predictions) == {"CA", "BL", "PL"}
 
     def test_objectives(self, school):
         query = parse_query(Q1_TEXT)
-        response = AdaptiveStrategy(objective="response").predict(school, query)
-        total = AdaptiveStrategy(objective="total").predict(school, query)
+        response = AdaptiveStrategy(objective="response").predict(
+            school, query, context()
+        )
+        total = AdaptiveStrategy(objective="total").predict(
+            school, query, context()
+        )
         assert all(v > 0 for v in response.values())
         assert all(v > 0 for v in total.values())
 
@@ -75,7 +79,7 @@ class TestAdaptiveExecution:
             AdaptiveStrategy(objective="latency")
 
     def test_registry_lookup(self):
-        assert strategy_by_name("auto").name == "AUTO"
+        assert resolve("auto").name == "AUTO"
 
     def test_auto_equivalent_on_generated(self):
         workload = make_workload(seed=404, scale=0.02)
@@ -87,28 +91,29 @@ class TestAdaptiveExecution:
     def test_choice_tracks_objective_ranking(self):
         workload = make_workload(seed=405, scale=0.02)
         strategy = AdaptiveStrategy(objective="response")
-        strategy.execute(workload.system, workload.query)
+        strategy.execute(workload.system, workload.query, context())
         predictions = strategy.last_predictions
         assert strategy.last_choice == min(predictions, key=predictions.get)
 
 
 class TestFaultAwarePrediction:
     def test_clean_prediction_unchanged_by_none_ctx(self, school):
+        from repro.faults import FaultPlan
+
         strategy = AdaptiveStrategy()
         query = parse_query(Q1_TEXT)
-        assert strategy.predict(school, query) == strategy.predict(
-            school, query, ctx=None
+        assert strategy.predict(school, query, context()) == strategy.predict(
+            school, query, context(fault_plan=FaultPlan())
         )
         assert strategy.last_unreachable == ()
 
     def test_down_site_penalizes_ca(self, school):
         from repro.faults import FaultPlan
-        from repro.faults.injector import ExecutionContext
 
         strategy = AdaptiveStrategy()
         query = parse_query(Q1_TEXT)
-        clean = strategy.predict(school, query)
-        ctx = ExecutionContext(FaultPlan.single_site_loss("DB2"))
+        clean = strategy.predict(school, query, context())
+        ctx = context(fault_plan=FaultPlan.single_site_loss("DB2"))
         faulted = strategy.predict(school, query, ctx)
         assert strategy.last_unreachable == ("DB2",)
         assert faulted["CA"] > clean["CA"]
@@ -120,19 +125,17 @@ class TestFaultAwarePrediction:
         """Prediction must read the plan, never negotiate: availability
         bookkeeping belongs to the delegate's execution alone."""
         from repro.faults import FaultPlan
-        from repro.faults.injector import ExecutionContext
 
-        ctx = ExecutionContext(FaultPlan.single_site_loss("DB1"))
+        ctx = context(fault_plan=FaultPlan.single_site_loss("DB1"))
         AdaptiveStrategy().predict(school, parse_query(Q1_TEXT), ctx)
         assert ctx.contacted == []
         assert ctx.skipped == []
 
     def test_fully_lossy_link_counts_as_unreachable(self, school):
         from repro.faults import FaultPlan
-        from repro.faults.injector import ExecutionContext
 
         # Two stacked 0.9-loss faults compose to 0.99: hopeless delivery.
-        ctx = ExecutionContext(FaultPlan.from_spec(
+        ctx = context(fault_plan=FaultPlan.from_spec(
             "link:*>DB3:loss0.9,link:GPS>DB3:loss0.9"
         ))
         strategy = AdaptiveStrategy()
@@ -142,8 +145,12 @@ class TestFaultAwarePrediction:
     def test_auto_event_records_unreachable(self, school):
         from repro.faults import FaultPlan
 
-        report = GlobalQueryEngine(school).execute(
-            Q1_TEXT, "AUTO", fault_plan=FaultPlan.single_site_loss("DB1")
+        engine = GlobalQueryEngine(school)
+        report = engine.execute(
+            Q1_TEXT, "AUTO",
+            options=engine.options.with_(
+                fault_plan=FaultPlan.single_site_loss("DB1")
+            ),
         )
         events = {e.name: e.attr_dict() for e in report.metrics.events}
         assert events["auto.predict"]["unreachable"] == "DB1"
@@ -151,7 +158,9 @@ class TestFaultAwarePrediction:
     def test_signature_variants_ranked_when_built(self, school):
         strategy = AdaptiveStrategy()
         query = parse_query(Q1_TEXT)
-        assert set(strategy.predict(school, query)) == {"CA", "BL", "PL"}
+        assert set(strategy.predict(school, query, context())) == {
+            "CA", "BL", "PL",
+        }
         school.build_signatures()
-        ranked = set(strategy.predict(school, query))
+        ranked = set(strategy.predict(school, query, context()))
         assert {"BL-S", "PL-S"} <= ranked

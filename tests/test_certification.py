@@ -390,6 +390,7 @@ class TestPartialQueryingAbsence:
         fault-free run eliminates him by absence.  With DB2 down he must
         come back as maybe — DB2 was never asked."""
         from repro.core.engine import GlobalQueryEngine
+        from repro.core.options import ExecutionOptions
         from repro.faults import FaultPlan
         from repro.workload.paper_example import Q1_TEXT, build_school_federation
 
@@ -403,7 +404,10 @@ class TestPartialQueryingAbsence:
         assert "John" not in clean_names
 
         faulted = GlobalQueryEngine(build_school_federation()).execute(
-            Q1_TEXT, "BL", fault_plan=FaultPlan.single_site_loss("DB2")
+            Q1_TEXT, "BL",
+            options=ExecutionOptions(
+                fault_plan=FaultPlan.single_site_loss("DB2")
+            ),
         )
         assert "John" in {name for name, _ in faulted.results.maybe_rows()}
         assert "John" not in {

@@ -383,22 +383,24 @@ class TestEngineTransparency:
                     == off.metrics.work.comparisons
                 ), (seed, name)
 
-    def test_engine_property_shim(self):
-        engine = GlobalQueryEngine(build_school_federation())
-        assert engine.columnar is True
-        engine.columnar = False
-        assert engine.options.columnar is False
-        engine.columnar = True
-        assert engine.columnar is True
-
-    def test_strategy_effective_columnar(self):
+    def test_strategy_effective_columnar(self, monkeypatch):
+        from helpers import context
         from repro.core.strategies import DEFAULT_REGISTRY
-        from repro.faults.injector import ExecutionContext
-        from repro.faults.plan import FaultPlan
+        from repro.sqlx import parse_query
 
+        seen = []
+        real = ComponentDatabase.execute_local
+
+        def spy(self, query, *, columnar=True):
+            seen.append(columnar)
+            return real(self, query, columnar=columnar)
+
+        monkeypatch.setattr(ComponentDatabase, "execute_local", spy)
         strategy = DEFAULT_REGISTRY.create("BL")
-        assert strategy.effective_columnar(None) is True
-        ctx = ExecutionContext(FaultPlan(), "degrade", columnar=False)
-        assert strategy.effective_columnar(ctx) is False
-        strategy.columnar = False
-        assert strategy.effective_columnar(None) is False
+        system = build_school_federation()
+        query = parse_query(Q1_TEXT)
+        strategy.execute(system, query, context(columnar=False))
+        assert seen and not any(seen)
+        seen.clear()
+        strategy.execute(system, query, context())
+        assert seen and all(seen)

@@ -15,6 +15,7 @@ import types
 
 import pytest
 
+from helpers import context
 from repro.conditions import (
     And,
     DegradationReason,
@@ -35,8 +36,9 @@ from repro.core.certification import SATISFIED
 from repro.core.engine import GlobalQueryEngine, _demote_uncertified
 from repro.core.options import ExecutionOptions
 from repro.core.results import GlobalResult, ResultKind
+from repro.core.strategies import DEFAULT_REGISTRY
 from repro.core.tvl import TV
-from repro.faults import ExecutionContext, FaultPlan, OutageWindow
+from repro.faults import FaultPlan, OutageWindow
 from repro.objectdb.ids import GOid
 from repro.resilience.failover import pending_skips_of
 from repro.workload.paper_example import Q1_TEXT
@@ -61,54 +63,63 @@ def maybe_row(value, *conditions):
 
 class TestSystemState:
     def test_healed_view_marks_present_sites_dischargeable(self, school):
-        state = SystemState(system=school)
+        state = SystemState(system=school, ctx=context())
         assert state.site_status("DB1") is TV.TRUE
         assert state.site_status("DB2") is TV.TRUE
 
     def test_excised_site_is_permanently_false(self, school):
-        assert SystemState(system=school).site_status("DBX") is TV.FALSE
+        state = SystemState(system=school, ctx=context())
+        assert state.site_status("DBX") is TV.FALSE
 
     def test_outage_blocks_without_refuting(self, school):
-        ctx = ExecutionContext(DB2_DOWN)
+        ctx = context(fault_plan=DB2_DOWN)
         state = SystemState(system=school, ctx=ctx)
         assert state.site_status("DB2") is TV.UNKNOWN
         assert state.site_status("DB1") is TV.TRUE
 
     def test_flux_label_open_vs_closed(self, school):
-        state = SystemState(system=school, flux_labels=("w1",))
+        state = SystemState(
+            system=school, ctx=context(), flux_labels=("w1",)
+        )
         assert state.flux_status("w1") is TV.UNKNOWN
         assert state.flux_status("w2") is TV.TRUE
 
     def test_current_snapshots_epoch(self, school):
-        state = SystemState.current(school)
+        ctx = context()
+        state = SystemState.current(school, ctx)
         assert state.epoch == school.schema_epoch
-        assert state.ctx is None
+        assert state.ctx is ctx
 
 
 class TestAtoms:
     def test_null_attr_never_discharges(self, school):
         atom = NullAttr(site="DB1", goid=goid("gs2"), attr="city")
-        assert atom.status(SystemState(system=school)) is TV.FALSE
+        healed = SystemState(system=school, ctx=context())
+        assert atom.status(healed) is TV.FALSE
 
     def test_site_down_tracks_live_reachability(self, school):
         atom = SiteDown(site="DB2")
-        healed = SystemState(system=school)
-        blocked = SystemState(system=school, ctx=ExecutionContext(DB2_DOWN))
+        healed = SystemState(system=school, ctx=context())
+        blocked = SystemState(system=school, ctx=context(fault_plan=DB2_DOWN))
         assert atom.status(healed) is TV.TRUE
         assert atom.status(blocked) is TV.UNKNOWN
         assert SiteDown(site="DBX").status(healed) is TV.FALSE
 
     def test_unchecked_copy_follows_holder_site(self, school):
         atom = UncheckedCopy(site="DB2", goid=goid("gt1"))
-        blocked = SystemState(system=school, ctx=ExecutionContext(DB2_DOWN))
+        blocked = SystemState(system=school, ctx=context(fault_plan=DB2_DOWN))
         assert atom.status(blocked) is TV.UNKNOWN
-        assert atom.status(SystemState(system=school)) is TV.TRUE
+        healed = SystemState(system=school, ctx=context())
+        assert atom.status(healed) is TV.TRUE
 
     def test_flux_epoch_clears_when_window_closes(self, school):
         atom = FluxEpoch(epoch=2, event="drop:DB1.K1.a@2")
-        open_ = SystemState(system=school, flux_labels=("drop:DB1.K1.a@2",))
+        open_ = SystemState(
+            system=school, ctx=context(), flux_labels=("drop:DB1.K1.a@2",)
+        )
         assert atom.status(open_) is TV.UNKNOWN
-        assert atom.status(SystemState(system=school)) is TV.TRUE
+        healed = SystemState(system=school, ctx=context())
+        assert atom.status(healed) is TV.TRUE
 
     def test_describe_renderings(self):
         assert str(NullAttr("DB1", goid("gs1"), "a.b = 'x'")) == (
@@ -126,7 +137,7 @@ class TestConnectives:
 
     @pytest.fixture()
     def state(self, school):
-        return SystemState(system=school, ctx=ExecutionContext(DB2_DOWN))
+        return SystemState(system=school, ctx=context(fault_plan=DB2_DOWN))
 
     def test_and_truth_table(self, state):
         true = SiteDown("DB1")
@@ -307,6 +318,21 @@ class TestAnswerRepair:
         )
         with pytest.raises(RepairError):
             school_engine.recertify(report)
+
+    @pytest.mark.parametrize("strategy", DEFAULT_REGISTRY.names())
+    def test_fault_free_without_conditions_attaches_none(
+        self, school_engine, strategy
+    ):
+        """Regression: AUTO's delegate used to ignore conditions=False."""
+        report = school_engine.execute(
+            Q1_TEXT,
+            strategy,
+            options=school_engine.options.with_(conditions=False),
+        )
+        assert report.results.maybe
+        assert all(
+            not row.conditions for row in report.results.all_results()
+        )
 
     def test_partial_recovery_stays_maybe_but_repairable(
         self, school_engine

@@ -2,12 +2,13 @@
 
 import pytest
 
+from helpers import context
+from repro.core.results import Availability
 from repro.errors import ExecutionTimeout, FaultPlanError, UnavailableError
 from repro.faults import (
     DEGRADE,
     EMPTY_PLAN,
     FAIL_FAST,
-    ExecutionContext,
     ExecutionPolicy,
     FaultInjector,
     FaultPlan,
@@ -15,6 +16,7 @@ from repro.faults import (
     OutageWindow,
     resolve_policy,
 )
+from repro.faults.injector import CLEAR
 
 
 class TestOutageWindow:
@@ -195,9 +197,12 @@ class TestFaultInjector:
         assert first != other
 
 
+DB1_LOSS = FaultPlan.single_site_loss("DB1")
+
+
 class TestExecutionContext:
     def test_bookkeeping(self):
-        ctx = ExecutionContext(FaultPlan.single_site_loss("DB1"))
+        ctx = context(fault_plan=DB1_LOSS, failover=False)
         assert ctx.reachable("G", "DB2")
         assert not ctx.reachable("G", "DB1")
         ctx.note_skipped_check()
@@ -209,7 +214,7 @@ class TestExecutionContext:
         assert availability.fault_wait_s == pytest.approx(ctx.wait_s)
 
     def test_wait_counted_once_per_link(self):
-        ctx = ExecutionContext(FaultPlan.single_site_loss("DB1"))
+        ctx = context(fault_plan=DB1_LOSS, failover=False)
         ctx.contact("G", "DB1")
         waited = ctx.wait_s
         ctx.contact("G", "DB1")  # memoized: no extra wait
@@ -217,20 +222,77 @@ class TestExecutionContext:
         assert ctx.timeouts == DEGRADE.max_retries + 1
 
     def test_fail_fast_raises(self):
-        ctx = ExecutionContext(
-            FaultPlan.single_site_loss("DB1"), policy=FAIL_FAST
-        )
+        ctx = context(fault_plan=DB1_LOSS, policy=FAIL_FAST, failover=False)
         with pytest.raises(UnavailableError):
             ctx.contact("G", "DB1")
 
     def test_deadline_raises(self):
         policy = ExecutionPolicy(name="tight", deadline_s=0.1)
-        ctx = ExecutionContext(FaultPlan.single_site_loss("DB1"), policy)
+        ctx = context(fault_plan=DB1_LOSS, policy=policy, failover=False)
         with pytest.raises(ExecutionTimeout):
             ctx.contact("G", "DB1")
 
     def test_complete_when_nothing_skipped(self):
-        ctx = ExecutionContext(FaultPlan.single_site_loss("DB1"))
+        ctx = context(fault_plan=DB1_LOSS, failover=False)
         ctx.contact("G", "DB2")
         assert ctx.complete
         assert ctx.availability().summary() == "complete"
+
+
+class TestInertContext:
+    """With faults off the context is inert: one place decides it."""
+
+    @pytest.mark.parametrize(
+        "plan", [None, EMPTY_PLAN], ids=["no-plan", "empty-plan"]
+    )
+    def test_contact_is_shared_clear_without_rng(self, plan, monkeypatch):
+        import repro.faults.injector as injector
+
+        def no_rng(*_args, **_kwargs):
+            raise AssertionError("inert context drew a random number")
+
+        monkeypatch.setattr(injector.random, "Random", no_rng)
+        ctx = context(fault_plan=plan, policy="degrade:hedge=0.05")
+        assert ctx.contact("G", "DB1") is CLEAR
+        assert ctx.reachable("DB1", "DB2")
+        assert ctx.hedge_delay("DB1", "DB2") is None
+        assert ctx.injector._memo == {}
+        assert (ctx.contacted, ctx.skipped, ctx.retried) == ([], [], {})
+        assert ctx.wait_s == 0.0 and ctx.retries == ctx.timeouts == 0
+
+    def test_availability_is_the_default(self):
+        ctx = context()
+        ctx.contact("G", "DB1")
+        assert ctx.availability() == Availability()
+        assert ctx.availability().to_dict()["sites_contacted"] == []
+
+    def test_no_failover_and_no_health_registry(self):
+        ctx = context()
+        assert ctx.options.failover  # the default asks for failover ...
+        assert not ctx.failover  # ... but there is nothing to reroute
+        assert ctx.health is None
+        assert context(fault_plan=DB1_LOSS).health is not None
+
+    def test_engine_skips_feedback_and_fault_events(self, school):
+        from repro.core.engine import GlobalQueryEngine
+        from repro.workload.paper_example import Q1_TEXT
+
+        def observe(*_args, **_kwargs):
+            raise AssertionError("fault-free run fed the planner")
+
+        school.planner_feedback.observe_execution = observe
+        report = GlobalQueryEngine(school).execute(Q1_TEXT, "PL")
+        names = {event.name for event in report.metrics.events}
+        assert not names & {"faults.plan", "fault.breaker"}
+        assert report.availability.to_dict()["sites_contacted"] == []
+
+    def test_strategies_never_test_faults_active(self):
+        import inspect
+
+        import repro.core.strategies as strategies
+
+        for module in (
+            strategies.adaptive, strategies.base,
+            strategies.centralized, strategies.localized,
+        ):
+            assert "faults_active" not in inspect.getsource(module)

@@ -1,11 +1,10 @@
-"""ExecutionOptions, the legacy-kwarg shim, and per-caller sessions.
+"""ExecutionOptions and per-caller sessions.
 
 Covers the options value object (immutability, ``with_`` validation,
-policy normalization), the engine's deprecated override kwargs (both
-paths must produce identical reports), the attribute shims
-(``engine.batch_checks = ...`` still works), the no-strategy-mutation
-regression (a shared Strategy instance must never see its
-``batch_checks`` flipped by one caller), and :class:`EngineSession`:
+policy normalization), the warning-free options path, the
+no-strategy-mutation regression (options reach a shared Strategy
+instance only through the execution context, never as state on the
+instance), and :class:`EngineSession`:
 per-session defaults, per-session cache accounting summing to the
 federation-wide delta, and cross-session shared-hit attribution.
 """
@@ -17,6 +16,7 @@ import warnings
 
 import pytest
 
+from helpers import make_workload
 from repro.core.engine import GlobalQueryEngine
 from repro.core.options import OPTION_FIELDS, ExecutionOptions
 from repro.faults.plan import FaultPlan
@@ -80,24 +80,8 @@ class TestExecutionOptions:
 
 
 class TestLegacyKwargShim:
-    def test_legacy_kwargs_warn_and_match_options_path(self, school):
-        engine = GlobalQueryEngine(school)
-        plan = FaultPlan.from_spec(PLAN)
-        with pytest.warns(DeprecationWarning, match="execute"):
-            legacy = engine.execute(
-                Q1_TEXT, "BL", fault_plan=plan, fault_seed=5,
-                batch_checks=False,
-            )
-        modern = engine.execute(
-            Q1_TEXT, "BL",
-            options=engine.options.with_(
-                fault_plan=plan, fault_seed=5, batch_checks=False
-            ),
-        )
-        assert _digest(legacy) == _digest(modern)
-        assert legacy.total_time == modern.total_time
-        assert (legacy.availability.summary()
-                == modern.availability.summary())
+    """``options=`` is the only way to configure one execution, and it
+    must stay warning-free."""
 
     def test_options_path_emits_no_warning(self, school):
         engine = GlobalQueryEngine(school)
@@ -108,50 +92,20 @@ class TestLegacyKwargShim:
                 options=engine.options.with_(batch_checks=False),
             )
 
-    def test_compare_legacy_kwargs_warn(self, school):
-        engine = GlobalQueryEngine(school)
-        with pytest.warns(DeprecationWarning, match="compare"):
-            outcomes = engine.compare(
-                Q1_TEXT, strategies=("CA", "BL"),
-                fault_plan=FaultPlan.from_spec(PLAN), fault_seed=2,
-            )
-        assert set(outcomes) == {"CA", "BL"}
-
-    def test_constructor_kwargs_fold_into_options(self, school):
-        engine = GlobalQueryEngine(
-            school, batch_checks=False, fault_seed=9, failover=False
-        )
-        assert not engine.options.batch_checks
-        assert engine.options.fault_seed == 9
-        assert not engine.options.failover
-
-    def test_attribute_shims_read_and_write_options(self, school):
-        engine = GlobalQueryEngine(school)
-        assert engine.batch_checks is True
-        engine.batch_checks = False
-        engine.fault_seed = 11
-        engine.policy = "fail-fast"
-        assert not engine.options.batch_checks
-        assert engine.options.fault_seed == 11
-        assert engine.policy.fail_fast
-        assert engine.fault_plan is None
-
 
 class TestNoStrategyMutation:
-    """Regression: execute() must never flip a shared Strategy's flags."""
+    """Regression: execute() must never mutate a shared Strategy."""
 
     def test_batch_override_leaves_instance_alone_fault_free(self):
-        from helpers import make_workload
-
         workload = make_workload(103, n_dbs=3)
         engine = GlobalQueryEngine(workload.system)
         shared = engine.registry.create("BL")
-        assert shared.batch_checks
+        before = dict(vars(shared))
         unbatched = engine.execute(
             workload.query, shared,
             options=engine.options.with_(batch_checks=False),
         )
-        assert shared.batch_checks, (
+        assert vars(shared) == before, (
             "engine mutated the caller's Strategy instance"
         )
         # The override still took effect: unbatched sends more messages.
@@ -162,27 +116,35 @@ class TestNoStrategyMutation:
     def test_batch_override_leaves_instance_alone_under_faults(self, school):
         engine = GlobalQueryEngine(school)
         shared = engine.registry.create("BL")
+        before = dict(vars(shared))
         faulted = engine.options.with_(
             fault_plan=FaultPlan.from_spec(PLAN), batch_checks=False
         )
         engine.execute(Q1_TEXT, shared, options=faulted)
-        assert shared.batch_checks
+        assert vars(shared) == before
 
     def test_default_strategy_not_mutated_by_session_override(self, school):
         engine = GlobalQueryEngine(school)
+        before = dict(vars(engine.default_strategy))
         session = engine.session(
             options=engine.options.with_(batch_checks=False)
         )
         session.execute(Q1_TEXT)
-        assert engine.default_strategy.batch_checks
+        assert vars(engine.default_strategy) == before
 
-    def test_auto_delegate_honors_override_without_mutation(self, school):
-        engine = GlobalQueryEngine(school)
+    def test_auto_delegate_honors_override_without_mutation(self):
+        workload = make_workload(103, n_dbs=3)
+        engine = GlobalQueryEngine(workload.system)
         auto = engine.registry.create("AUTO")
-        engine.execute(
-            Q1_TEXT, auto, options=engine.options.with_(batch_checks=False)
+        unbatched = engine.options.with_(batch_checks=False)
+        report = engine.execute(workload.query, auto, options=unbatched)
+        direct = engine.execute(
+            workload.query, auto.last_choice, options=unbatched
         )
-        assert auto.batch_checks
+        batched = engine.execute(workload.query, auto.last_choice)
+        assert auto.last_choice != "CA"  # the delegate dispatches checks
+        assert report.metrics.work.messages == direct.metrics.work.messages
+        assert report.metrics.work.messages > batched.metrics.work.messages
 
 
 class TestEngineSession:
@@ -190,7 +152,7 @@ class TestEngineSession:
         engine = GlobalQueryEngine(school)
         session = engine.session()
         assert session.options == engine.options
-        engine.batch_checks = False
+        engine.options = engine.options.with_(batch_checks=False)
         assert not session.options.batch_checks  # inherits live
 
     def test_session_own_options_are_isolated(self, school):

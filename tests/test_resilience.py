@@ -9,9 +9,10 @@ of ``failover=False``, and the new CLI flags.
 import pytest
 
 from repro.core.engine import GlobalQueryEngine
+from repro.core.options import ExecutionOptions
 from repro.core.results import Availability
 from repro.errors import FaultPlanError
-from repro.faults import ExecutionPolicy, FaultPlan
+from repro.faults import FaultPlan
 from repro.faults.injector import ExecutionContext
 from repro.faults.policy import parse_policy_spec, resolve_policy
 from repro.resilience import (
@@ -167,7 +168,10 @@ class TestReplicaFailover:
         engine = GlobalQueryEngine(school)
         clean = engine.execute(Q1_TEXT, strategy)
         on = engine.execute(
-            Q1_TEXT, strategy, fault_plan=storm_plan(), fault_seed=0
+            Q1_TEXT, strategy,
+            options=engine.options.with_(
+                fault_plan=storm_plan(), fault_seed=0
+            ),
         )
         avail = on.availability
         assert not avail.complete
@@ -181,11 +185,16 @@ class TestReplicaFailover:
     def test_failover_beats_eager_demotion(self, school, strategy):
         engine = GlobalQueryEngine(school)
         off = engine.execute(
-            Q1_TEXT, strategy, fault_plan=storm_plan(), fault_seed=0,
-            failover=False,
+            Q1_TEXT, strategy,
+            options=engine.options.with_(
+                fault_plan=storm_plan(), fault_seed=0, failover=False
+            ),
         )
         on = engine.execute(
-            Q1_TEXT, strategy, fault_plan=storm_plan(), fault_seed=0,
+            Q1_TEXT, strategy,
+            options=engine.options.with_(
+                fault_plan=storm_plan(), fault_seed=0
+            ),
         )
         assert off.availability.checks_skipped > 0
         assert not off.availability.fully_recovered
@@ -197,7 +206,8 @@ class TestReplicaFailover:
 
     def test_failover_emits_relay_events(self, school):
         report = GlobalQueryEngine(school).execute(
-            Q1_TEXT, "PL", fault_plan=storm_plan(), fault_seed=0
+            Q1_TEXT, "PL",
+            options=ExecutionOptions(fault_plan=storm_plan(), fault_seed=0),
         )
         relays = [
             e for e in report.metrics.events
@@ -213,8 +223,13 @@ class TestReplicaFailover:
         # must degrade exactly like the eager path.
         plan = FaultPlan.single_site_loss("DB2")
         engine = GlobalQueryEngine(school)
-        on = engine.execute(Q1_TEXT, "BL", fault_plan=plan)
-        off = engine.execute(Q1_TEXT, "BL", fault_plan=plan, failover=False)
+        on = engine.execute(
+            Q1_TEXT, "BL", options=engine.options.with_(fault_plan=plan)
+        )
+        off = engine.execute(
+            Q1_TEXT, "BL",
+            options=engine.options.with_(fault_plan=plan, failover=False),
+        )
         assert on.results.to_dicts() == off.results.to_dicts()
         assert not on.availability.fully_recovered
         assert on.availability.checks_failed_over == 0
@@ -223,8 +238,12 @@ class TestReplicaFailover:
         engine = GlobalQueryEngine(school)
         runs = [
             engine.execute(
-                Q1_TEXT, "PL", fault_plan=storm_plan(), fault_seed=0,
-                policy="degrade:hedge=0.05",
+                Q1_TEXT, "PL",
+                options=engine.options.with_(
+                    fault_plan=storm_plan(),
+                    fault_seed=0,
+                    policy="degrade:hedge=0.05",
+                ),
             )
             for _ in range(2)
         ]
@@ -234,10 +253,12 @@ class TestReplicaFailover:
 
     def test_context_without_failover_has_no_health(self):
         plan = storm_plan()
-        ctx = ExecutionContext(plan, ExecutionPolicy())
+        ctx = ExecutionContext(
+            ExecutionOptions(fault_plan=plan, failover=False)
+        )
         assert not ctx.failover
         assert ctx.health is None
-        on = ExecutionContext(plan, ExecutionPolicy(), failover=True)
+        on = ExecutionContext(ExecutionOptions(fault_plan=plan))
         assert on.health is not None
 
 
@@ -247,8 +268,11 @@ class TestHedgedDispatch:
     def run(self, school, policy):
         return GlobalQueryEngine(school).execute(
             Q1_TEXT, "PL",
-            fault_plan=FaultPlan.from_spec(self.PLAN),
-            fault_seed=2, policy=policy,
+            options=ExecutionOptions(
+                fault_plan=FaultPlan.from_spec(self.PLAN),
+                fault_seed=2,
+                policy=policy,
+            ),
         )
 
     def test_hedging_never_changes_answers(self, school):

@@ -11,7 +11,7 @@ import pytest
 from repro.core.decompose import decompose
 from repro.core.query import Path, Predicate
 from repro.core.results import same_answers
-from repro.core.strategies import plan_dispatch, strategy_by_name
+from repro.core.strategies import plan_dispatch
 from repro.objectdb.ids import GOid, LOid
 from repro.objectdb.local_query import RowKind
 from repro.sqlx import parse_query
