@@ -349,8 +349,8 @@ class ReCertifier:
                 skip_log=skipped_entries,
             )
             for chase in rounds:
-                messages += 2 * len(chase.requests)
-                for request in chase.requests:
+                messages += 2 * len(chase.pairs)
+                for request, _ in chase.pairs:
                     if request.db_name not in contacted:
                         contacted.append(request.db_name)
             for entry in skipped_entries:

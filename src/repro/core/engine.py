@@ -165,12 +165,11 @@ class GlobalQueryEngine:
         name: Optional[str] = None,
         strategy: Union[str, Strategy, None] = None,
         options: Optional[ExecutionOptions] = None,
-        fault_seed: Optional[int] = None,
     ) -> EngineSession:
         """A lightweight per-caller handle over the shared federation.
 
-        Each session carries its own default strategy, options and fault
-        seed plus per-session cache hit/miss accounting, while the
+        Each session carries its own default strategy and options (fault
+        seed included) plus per-session cache hit/miss accounting, while the
         federation (databases, catalogs, decomposition/mapping caches,
         signature catalog) stays shared.  Sessions are cooperative: calls
         interleave deterministically, and all per-execution fault state
@@ -182,7 +181,6 @@ class GlobalQueryEngine:
             name=name or f"session-{self._sessions}",
             strategy=strategy,
             options=options,
-            fault_seed=fault_seed,
         )
 
     def _resolve(self, strategy: Union[str, Strategy]) -> Strategy:

@@ -47,17 +47,12 @@ class EngineSession:
         name: str = "main",
         strategy: Union[str, "Strategy", None] = None,
         options: Optional[ExecutionOptions] = None,
-        fault_seed: Optional[int] = None,
     ) -> None:
         self.engine = engine
         self.name = name
         self._strategy = (
             None if strategy is None else engine._resolve(strategy)
         )
-        if fault_seed is not None:
-            options = (
-                options if options is not None else engine.options
-            ).with_(fault_seed=fault_seed)
         #: Session-default options; ``None`` inherits the engine's
         #: (live — engine-wide reconfiguration reaches such sessions).
         self._options = options

@@ -21,7 +21,7 @@ from repro.core.strategies.base import (
     StrategyResult,
     collect_verdicts,
     plan_dispatch,
-    run_checks,
+    run_checks_paired,
 )
 from repro.core.strategies.centralized import CentralizedStrategy
 from repro.core.strategies.localized import (
@@ -56,5 +56,5 @@ __all__ = [
     "extract_params_ex",
     "plan_dispatch",
     "resolve",
-    "run_checks",
+    "run_checks_paired",
 ]

@@ -19,10 +19,11 @@ chase) request a site holds for one destination is coalesced into a
 single batched request/reply exchange (:class:`CheckBatch`) — one
 network message pair per ``(src, dst)`` link instead of one per
 :class:`~repro.objectdb.local_query.CheckRequest`, matching the
-aggregated per-peer exchange the analytic model already charges.
-Reports stay keyed by their request (:func:`run_checks_paired`), so
-verdict collection, certification and fault skip/annotation logic are
-untouched by batching.
+aggregated per-peer exchange the analytic model already charges.  With
+batching off each request is a batch of one, so both protocols share
+one scheduler.  Reports stay keyed by their request
+(:func:`run_checks_paired`), so verdict collection, certification and
+fault skip/annotation logic are untouched by batching.
 """
 
 from __future__ import annotations
@@ -346,17 +347,10 @@ def run_checks_paired(
     ]
 
 
-def run_checks(
-    requests: Sequence[CheckRequest], system: DistributedSystem
-) -> List[CheckReport]:
-    """Reports only (legacy view of :func:`run_checks_paired`)."""
-    return [report for _, report in run_checks_paired(requests, system)]
-
-
 @dataclass
 class CheckBatch:
-    """Every check request one site sends to one destination, coalesced
-    into a single request/reply exchange.
+    """Check requests one site sends to one destination in a single
+    request/reply exchange.
 
     The request message carries all assistant LOids plus the *distinct*
     predicate descriptors of the batch (shared predicates ship once);
@@ -369,14 +363,8 @@ class CheckBatch:
     pairs: List[Tuple[CheckRequest, CheckReport]] = field(
         default_factory=list
     )
-
-    @property
-    def requests(self) -> List[CheckRequest]:
-        return [request for request, _ in self.pairs]
-
-    @property
-    def reports(self) -> List[CheckReport]:
-        return [report for _, report in self.pairs]
+    #: False for a per-request batch of one (``batch_checks=False``).
+    coalesced: bool = True
 
     @property
     def total_loids(self) -> int:
@@ -409,13 +397,29 @@ class CheckBatch:
 
 
 def batch_exchanges(
-    src: str, pairs: Sequence[Tuple[CheckRequest, CheckReport]]
+    src: str,
+    pairs: Sequence[Tuple[CheckRequest, CheckReport]],
+    coalesce: bool = True,
 ) -> List[CheckBatch]:
-    """Group ``(request, report)`` pairs into one batch per destination.
+    """Group ``(request, report)`` pairs into phase-O exchanges.
 
-    Batches come out ordered by destination name for deterministic
+    With *coalesce* (the batched wire protocol), one batch per
+    destination, ordered by destination name for deterministic
     scheduling; pairs keep their relative order within a batch.
+    Without it (the per-request protocol), one batch per pair in
+    dispatch order: a batch of one charges exactly what a lone request
+    does, because dispatch never repeats a predicate within a request.
     """
+    if not coalesce:
+        return [
+            CheckBatch(
+                src=src,
+                dst=request.db_name,
+                pairs=[(request, report)],
+                coalesced=False,
+            )
+            for request, report in pairs
+        ]
     by_dst: Dict[str, CheckBatch] = {}
     for request, report in pairs:
         batch = by_dst.get(request.db_name)
@@ -431,9 +435,7 @@ def batch_exchanges(
 class ChaseRound:
     """One follow-up check round issued by the global processing site."""
 
-    requests: List[CheckRequest] = field(default_factory=list)
-    reports: List[CheckReport] = field(default_factory=list)
-    #: The same data keyed explicitly: one (request, report) pair each.
+    #: One (request, report) pair per follow-up check request.
     pairs: List[Tuple[CheckRequest, CheckReport]] = field(
         default_factory=list
     )
@@ -547,27 +549,27 @@ def chase_blocked(
                 entries.append((orig_loid, orig_pred, remaining, tuple(answerable)))
         if not entries:
             break
-        for (db_name, class_name, predicate), loids in sorted(
-            buckets.items(), key=lambda kv: (kv[0][0], kv[0][1], str(kv[0][2]))
-        ):
-            round_data.requests.append(
-                CheckRequest(
-                    db_name=db_name,
-                    class_name=class_name,
-                    loids=tuple(loids),
-                    predicates=(predicate,),
-                )
+        requests = [
+            CheckRequest(
+                db_name=db_name,
+                class_name=class_name,
+                loids=tuple(loids),
+                predicates=(predicate,),
             )
+            for (db_name, class_name, predicate), loids in sorted(
+                buckets.items(),
+                key=lambda kv: (kv[0][0], kv[0][1], str(kv[0][2])),
+            )
+        ]
         round_data.pairs = run_checks_paired(
-            round_data.requests, system, columnar=columnar
+            requests, system, columnar=columnar
         )
-        round_data.reports = [report for _, report in round_data.pairs]
         rounds.append(round_data)
 
         # Index this round's verdicts and blocks.
         verdict_of: Dict[Tuple[LOid, Predicate], str] = {}
         blocked_of: Dict[Tuple[LOid, Predicate], List] = {}
-        for report in round_data.reports:
+        for _, report in round_data.pairs:
             for predicate, loids in report.violated.items():
                 for loid in loids:
                     verdict_of[(loid, predicate)] = VIOLATED

@@ -42,6 +42,7 @@ from repro.core.decompose import attributes_needed
 from repro.core.query import Query
 from repro.core.results import ResultSet
 from repro.core.strategies.base import (
+    CheckBatch,
     DispatchPlan,
     Strategy,
     StrategyResult,
@@ -176,6 +177,7 @@ class _LocalizedStrategy(Strategy):
         cost = system.cost_model
         use_columnar = ctx.options.columnar
         use_conditions = ctx.options.conditions
+        coalesce = ctx.options.batch_checks
         # Constraint catalog, consulted only under planner=constraints/full.
         # Soundness contract: a prune fires only when the static path
         # would provably produce the identical answer (empty local result
@@ -212,40 +214,48 @@ class _LocalizedStrategy(Strategy):
         skipped_check_requests: List[Tuple[str, object]] = []
 
         branch_classes = query.branch_classes(system.global_schema.schema)
-        queried = list(decomposed.local_queries)
+        # Sites the constraint catalog proves answer with zero rows are
+        # pruned before anything contacts them.
+        prune_reasons: Dict[str, str] = {}
+        if constraints is not None:
+            for db_name, local_query in decomposed.local_queries.items():
+                reason = constraints.site_prune_reason(
+                    system.db(db_name), local_query
+                )
+                if reason is not None:
+                    prune_reasons[db_name] = reason
         # Checks execute at assistants' home sites; size their reads with
         # the average branch object of the sites actually consulted.
         # Under a fault plan, sites whose negotiation fails drop out of
         # the execution entirely, so they must not skew the average
         # (negotiations are memoized — the per-site loop below reuses
-        # these outcomes without re-paying any retry ladder).
+        # these outcomes without re-paying any retry ladder).  Pruned
+        # sites are never contacted and always count, as they do on a
+        # fault-free run.
         surviving = [
-            db for db in queried if ctx.contact(system.global_site, db).ok
+            db for db in decomposed.local_queries
+            if db in prune_reasons or ctx.contact(system.global_site, db).ok
         ]
         avg_branch_bytes = self._avg_branch_bytes(system, query, surviving)
 
         for db_name, local_query in decomposed.local_queries.items():
-            if constraints is not None:
-                prune_reason = constraints.site_prune_reason(
-                    system.db(db_name), local_query
+            prune_reason = prune_reasons.get(db_name)
+            if prune_reason is not None:
+                # Synthesize the empty result set the static path would
+                # have computed and skip the site's scan/evaluate/
+                # dispatch work entirely.
+                local_results[db_name] = LocalResultSet(
+                    db_name=db_name,
+                    range_class=local_query.range_class,
                 )
-                if prune_reason is not None:
-                    # The catalog proves this site block answers with
-                    # zero rows; synthesize the empty result set the
-                    # static path would have computed and skip the
-                    # site's scan/evaluate/dispatch work entirely.
-                    local_results[db_name] = LocalResultSet(
-                        db_name=db_name,
-                        range_class=local_query.range_class,
-                    )
-                    work.sites_pruned += 1
-                    events.append(TraceEvent.of(
-                        "planner.prune",
-                        kind="site",
-                        site=db_name,
-                        reason=prune_reason,
-                    ))
-                    continue
+                work.sites_pruned += 1
+                events.append(TraceEvent.of(
+                    "planner.prune",
+                    kind="site",
+                    site=db_name,
+                    reason=prune_reason,
+                ))
+                continue
             negotiation = ctx.contact(system.global_site, db_name)
             entry_deps = fault_wait_chain(fed, ctx, negotiation, events)
             if not negotiation.ok:
@@ -386,18 +396,10 @@ class _LocalizedStrategy(Strategy):
                         continue
                     unreachable_check_sites.setdefault(request.db_name)
                     skipped_check_requests.append((db_name, request))
-                    g_cls = system.global_schema.global_class_of(
-                        request.db_name, request.class_name
-                    )
-                    for loid in request.loids:
-                        goid = (
-                            system.catalog.goid_of(g_cls, loid)
-                            if g_cls is not None else None
+                    for skip in pending_skips_of(system, db_name, request):
+                        skipped_goids.setdefault(skip.goid, set()).add(
+                            request.db_name
                         )
-                        if goid is not None:
-                            skipped_goids.setdefault(goid, set()).add(
-                                request.db_name
-                            )
                     ctx.note_skipped_check()
                     events.append(
                         TraceEvent.of(
@@ -416,7 +418,9 @@ class _LocalizedStrategy(Strategy):
             reports.extend(report for _, report in paired)
             reports.extend(report for _, report in relayed_paired)
             self._dispatch_checks(
-                fed, system, ctx, db_name, paired, relayed_paired,
+                fed, system, ctx, db_name,
+                batch_exchanges(db_name, paired, coalesce),
+                batch_exchanges(db_name, relayed_paired, coalesce),
                 dispatch_node, certify_deps, work, avg_branch_bytes,
                 events,
             )
@@ -436,7 +440,7 @@ class _LocalizedStrategy(Strategy):
             events.append(TraceEvent.of(
                 "chase.round",
                 round=round_no,
-                requests=len(chase.requests),
+                requests=len(chase.pairs),
                 mapping_lookups=chase.mapping_lookups,
             ))
             for site in chase.skipped_sites:
@@ -506,23 +510,16 @@ class _LocalizedStrategy(Strategy):
             )
             work.comparisons += chase.mapping_lookups
             certify_deps.append(lookup)
-            round_replies: List[Node] = []
-            if ctx.options.batch_checks:
+            round_replies = [
+                self._schedule_batch(
+                    fed, system, batch, [lookup], work,
+                    avg_branch_bytes, events, kind="chase",
+                    round_no=round_no,
+                )
                 for batch in batch_exchanges(
-                    system.global_site, chase.pairs
-                ):
-                    round_replies.append(self._schedule_batch(
-                        fed, system, batch, [lookup], work,
-                        avg_branch_bytes, events, kind="chase",
-                        round_no=round_no,
-                    ))
-            else:
-                for request, report in chase.pairs:
-                    round_replies.append(self._schedule_single(
-                        fed, system, request, report,
-                        system.global_site, [lookup], work,
-                        avg_branch_bytes, kind="chase",
-                    ))
+                    system.global_site, chase.pairs, coalesce
+                )
+            ]
             certify_deps.extend(round_replies)
             prev_deps = round_replies or [lookup]
 
@@ -685,78 +682,47 @@ class _LocalizedStrategy(Strategy):
         system: DistributedSystem,
         ctx: ExecutionContext,
         db_name: str,
-        paired: List[Tuple["CheckRequest", CheckReport]],
-        relayed: List[Tuple["CheckRequest", CheckReport]],
+        direct: List[CheckBatch],
+        relayed: List[CheckBatch],
         dispatch_node: Node,
         certify_deps: List[Node],
         work: WorkCounters,
         avg_branch_bytes: float,
         events: List[TraceEvent],
     ) -> None:
-        """Schedule one site's check exchanges, batched or per-request.
+        """Schedule one site's check exchanges.
 
-        Batched (the default): every request sharing a destination rides
-        one request/reply message pair.  Unbatched (``--no-batch``): the
-        historical one-pair-per-request protocol, byte for byte.
-
-        *relayed* pairs lost their direct link: their requests hop
+        *relayed* batches lost their direct link: their requests hop
         through the global-site relay (``src -> global -> dst``); the
         reply path (``dst -> global``) is the same as always.  Direct
-        pairs may additionally *hedge*: when the policy sets a hedge
+        batches may additionally *hedge*: when the policy sets a hedge
         delay and the direct negotiation is slower than it, a duplicate
         request races through the relay and the faster route carries the
         exchange while the loser's request message is still paid for.
         """
-        if ctx.options.batch_checks:
-            for batch in batch_exchanges(db_name, paired):
-                send_deps, via = self._hedged_deps(
-                    fed, system, ctx, db_name, batch.dst,
-                    ctx.contact(db_name, batch.dst), [dispatch_node],
-                    batch.request_bytes(system.cost_model),
-                    work, events,
-                )
-                certify_deps.append(self._schedule_batch(
-                    fed, system, batch, send_deps, work,
-                    avg_branch_bytes, events, kind="check", via=via,
-                ))
-            for batch in batch_exchanges(db_name, relayed):
-                send_deps = fault_wait_chain(
-                    fed,
-                    ctx,
-                    ctx.contact(system.global_site, batch.dst),
-                    events,
-                    deps=[dispatch_node],
-                )
-                certify_deps.append(self._schedule_batch(
-                    fed, system, batch, send_deps, work,
-                    avg_branch_bytes, events, kind="check",
-                    via=system.global_site,
-                ))
-            return
-        for request, report in paired:
+        for batch in direct:
             send_deps, via = self._hedged_deps(
-                fed, system, ctx, db_name, request.db_name,
-                ctx.contact(db_name, request.db_name), [dispatch_node],
-                system.cost_model.check_request_bytes(
-                    len(request.loids), len(request.predicates)
-                ),
+                fed, system, ctx, db_name, batch.dst,
+                ctx.contact(db_name, batch.dst), [dispatch_node],
+                batch.request_bytes(system.cost_model),
                 work, events,
             )
-            certify_deps.append(self._schedule_single(
-                fed, system, request, report, db_name, send_deps, work,
-                avg_branch_bytes, kind="check", via=via,
+            certify_deps.append(self._schedule_batch(
+                fed, system, batch, send_deps, work,
+                avg_branch_bytes, events, kind="check", via=via,
             ))
-        for request, report in relayed:
+        for batch in relayed:
             send_deps = fault_wait_chain(
                 fed,
                 ctx,
-                ctx.contact(system.global_site, request.db_name),
+                ctx.contact(system.global_site, batch.dst),
                 events,
                 deps=[dispatch_node],
             )
-            certify_deps.append(self._schedule_single(
-                fed, system, request, report, db_name, send_deps, work,
-                avg_branch_bytes, kind="check", via=system.global_site,
+            certify_deps.append(self._schedule_batch(
+                fed, system, batch, send_deps, work,
+                avg_branch_bytes, events, kind="check",
+                via=system.global_site,
             ))
 
     def _hedged_deps(
@@ -827,7 +793,7 @@ class _LocalizedStrategy(Strategy):
         self,
         fed: FederationSim,
         system: DistributedSystem,
-        batch,
+        batch: CheckBatch,
         send_deps: List[Node],
         work: WorkCounters,
         avg_branch_bytes: float,
@@ -836,12 +802,14 @@ class _LocalizedStrategy(Strategy):
         round_no: Optional[int] = None,
         via: Optional[str] = None,
     ) -> Node:
-        """One coalesced request/reply exchange; returns the reply node.
+        """One request/reply exchange; returns the reply node.
 
         The per-request disk read and verdict evaluation at the
-        destination stay separate nodes (same labels as the unbatched
-        protocol, so Gantt granularity is unchanged); only the two
-        network messages are shared by the whole batch.
+        destination stay separate nodes (Gantt granularity does not
+        depend on the wire protocol); only the two network messages are
+        shared by the whole batch.  Only coalesced batches record a
+        ``dispatch.batch`` event; a batch of one is the per-request
+        protocol.
 
         With *via* (failover / hedge relay) the request rides two hops
         (``src -> via -> dst``), each billed in full; the reply path is
@@ -903,108 +871,26 @@ class _LocalizedStrategy(Strategy):
                     deps=[check_disk],
                 )
             )
-        attrs = dict(
-            src=batch.src,
-            dst=batch.dst,
-            requests=len(batch.pairs),
-            loids=batch.total_loids,
-            request_bytes=request_bytes,
-            reply_bytes=reply_bytes,
-        )
-        if round_no is not None:
-            attrs["round"] = round_no
-        if via is not None:
-            attrs["via"] = via
-        events.append(TraceEvent.of("dispatch.batch", **attrs))
+        if batch.coalesced:
+            attrs = dict(
+                src=batch.src,
+                dst=batch.dst,
+                requests=len(batch.pairs),
+                loids=batch.total_loids,
+                request_bytes=request_bytes,
+                reply_bytes=reply_bytes,
+            )
+            if round_no is not None:
+                attrs["round"] = round_no
+            if via is not None:
+                attrs["via"] = via
+            events.append(TraceEvent.of("dispatch.batch", **attrs))
         return fed.transfer(
             batch.dst,
             system.global_site,
             nbytes=reply_bytes,
             label=f"{self.name} {kind}-reply",
             deps=check_cpus or [send],
-            phase=PHASE_O,
-        )
-
-    def _schedule_single(
-        self,
-        fed: FederationSim,
-        system: DistributedSystem,
-        request,
-        report: CheckReport,
-        src: str,
-        send_deps: List[Node],
-        work: WorkCounters,
-        avg_branch_bytes: float,
-        kind: str,
-        via: Optional[str] = None,
-    ) -> Node:
-        """One per-request exchange (the pre-batching wire protocol).
-
-        *via* relays the request over two hops, exactly as in
-        :meth:`_schedule_batch`.
-        """
-        cost = system.cost_model
-        request_bytes = cost.check_request_bytes(
-            len(request.loids), len(request.predicates)
-        )
-        verdict_count = sum(
-            len(v) for v in report.satisfied.values()
-        ) + sum(len(v) for v in report.violated.values())
-        reply_bytes = cost.check_reply_bytes(max(verdict_count, 1))
-        hops = 1 if via is None else 2
-        work.bytes_network += request_bytes * hops + reply_bytes
-        work.messages += hops + 1
-        work.assistants_checked += report.objects_checked
-        work.comparisons += report.comparisons
-        if via is None:
-            send = fed.transfer(
-                src,
-                request.db_name,
-                nbytes=request_bytes,
-                label=f"{self.name} {kind}-req",
-                deps=send_deps,
-                phase=PHASE_O,
-            )
-        else:
-            hop = fed.transfer(
-                src,
-                via,
-                nbytes=request_bytes,
-                label=f"{self.name} {kind}-req",
-                deps=send_deps,
-                phase=PHASE_O,
-            )
-            send = fed.transfer(
-                via,
-                request.db_name,
-                nbytes=request_bytes,
-                label=f"{self.name} {kind}-relay",
-                deps=[hop],
-                phase=PHASE_O,
-            )
-        check_bytes = report.objects_checked * avg_branch_bytes
-        work.bytes_disk += int(check_bytes)
-        check_disk = fed.disk(
-            request.db_name,
-            nbytes=check_bytes,
-            label=f"{self.name} {kind} read",
-            phase=PHASE_O,
-            deps=[send],
-            seeks=report.objects_checked,
-        )
-        check_cpu = fed.cpu(
-            request.db_name,
-            comparisons=report.comparisons,
-            label=f"{self.name} {kind} eval",
-            phase=PHASE_O,
-            deps=[check_disk],
-        )
-        return fed.transfer(
-            request.db_name,
-            system.global_site,
-            nbytes=reply_bytes,
-            label=f"{self.name} {kind}-reply",
-            deps=[check_cpu],
             phase=PHASE_O,
         )
 

@@ -9,6 +9,8 @@ events, and the engine/CLI plumbing of ``batch_checks``.
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 
 from helpers import make_workload
@@ -22,6 +24,7 @@ from repro.core.strategies.base import (
 )
 from repro.objectdb.local_query import CheckReport, CheckRequest
 from repro.objectdb.ids import LOid
+from repro.sim.metrics import WorkCounters
 from repro.workload.paper_example import Q1_TEXT, build_school_federation
 
 #: A generated federation whose query produces multiple check requests
@@ -167,6 +170,19 @@ class TestCheckBatchUnits:
         assert all(b.src == "DB1" for b in batches)
         assert len(batches[1].pairs) == 2
 
+    def test_uncoalesced_is_one_batch_per_pair_in_dispatch_order(self):
+        pred = Predicate.of("x", "=", 1)
+        pairs = [
+            self._pair("DB3", [LOid("DB3", "a")], [pred]),
+            self._pair("DB2", [LOid("DB2", "b")], [pred]),
+            self._pair("DB3", [LOid("DB3", "c")], [pred]),
+        ]
+        batches = batch_exchanges("DB1", pairs, coalesce=False)
+        assert [b.pairs for b in batches] == [[pair] for pair in pairs]
+        assert [b.dst for b in batches] == ["DB3", "DB2", "DB3"]
+        assert all(b.src == "DB1" and not b.coalesced for b in batches)
+        assert all(b.coalesced for b in batch_exchanges("DB1", pairs))
+
     def test_shared_predicates_ship_once(self, school):
         """Batch request bytes charge distinct predicates, not the sum
         of per-request predicate lists."""
@@ -231,6 +247,27 @@ class TestEnginePlumbing:
         snapshot = report.registry.snapshot()
         assert snapshot["work.messages"] == report.metrics.work.messages
         assert snapshot["work.messages"] > 0
+
+
+@pytest.mark.parametrize("strategy", ["BL", "PL"])
+def test_school_q1_batches_of_one_match_batched_exactly(strategy):
+    """School Q1 sends one request per link, so the coalesced and the
+    per-request protocol must schedule exactly the same exchanges."""
+    runs = [
+        GlobalQueryEngine(build_school_federation()).execute(
+            Q1_TEXT, strategy, options=ExecutionOptions(batch_checks=batch)
+        ).metrics
+        for batch in (True, False)
+    ]
+    batched, unbatched = runs
+    assert batched.total_time == unbatched.total_time
+    assert batched.response_time == unbatched.response_time
+    assert batched.trace == unbatched.trace
+    for counter in fields(WorkCounters):
+        if counter.name.startswith("cache_"):
+            continue
+        assert (getattr(batched.work, counter.name)
+                == getattr(unbatched.work, counter.name)), counter.name
 
 
 @pytest.mark.parametrize("strategy", LOCALIZED + ("CA",))

@@ -158,8 +158,7 @@ class TestEngineSession:
     def test_session_own_options_are_isolated(self, school):
         engine = GlobalQueryEngine(school)
         session = engine.session(
-            options=engine.options.with_(batch_checks=False),
-            fault_seed=21,
+            options=engine.options.with_(batch_checks=False, fault_seed=21),
         )
         assert not session.options.batch_checks
         assert session.options.fault_seed == 21

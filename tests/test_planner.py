@@ -430,6 +430,28 @@ class TestPlannerModes:
             < static.metrics.work.objects_scanned
         )
 
+    @pytest.mark.parametrize("policy", ["degrade", "fail-fast"])
+    @pytest.mark.parametrize("strategy", ["BL", "PL", "AUTO"])
+    def test_pruned_site_is_never_contacted(self, strategy, policy):
+        """A site the catalog proves empty is not queried, so its
+        outage can neither degrade nor abort the execution."""
+        engine = GlobalQueryEngine(build_school_federation())
+        query = Query.conjunctive(
+            "Student", ["name"], [Predicate.of("s-no", ">=", 810000)]
+        )
+        options = ExecutionOptions(planner="constraints")
+        clean = engine.execute(query, strategy, options=options)
+        faulted = engine.execute(
+            query, strategy,
+            options=options.with_(
+                fault_plan=FaultPlan.from_spec("DB1@0:1e9"), policy=policy
+            ),
+        )
+        assert faulted.metrics.work.sites_pruned == 1
+        assert faulted.availability.complete
+        assert faulted.availability.fault_wait_s == 0
+        assert faulted.results.to_json() == clean.results.to_json()
+
     def test_check_prune_fires_and_preserves_the_answer(self):
         system = build_school_federation()
         db2 = system.db("DB2")
