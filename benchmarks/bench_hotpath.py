@@ -9,8 +9,9 @@ strategy, runs each query
   cache hits on a repeated query),
 * **unbatched** (``batch_checks=False``: the historical
   one-message-pair-per-request protocol), and
-* **row path** (``columnar=False``: per-object evaluation instead of the
-  columnar extent kernels),
+* **row path** (on the federation's row-path view,
+  :func:`repro.difftest.rowpath.row_path_view`: per-object evaluation
+  instead of the columnar extent kernels),
 
 recording network messages, bytes, simulated total/response time, cache
 traffic and wall-clock.  The bench enforces the batching and columnar
@@ -56,6 +57,7 @@ from bench_common import make_workload, write_result
 
 from repro.bench.reporting import format_table
 from repro.core.engine import GlobalQueryEngine
+from repro.difftest.rowpath import RowPathDatabase, row_path_view
 
 SCHEMA = "BENCH_hotpath/v2"
 STRATEGIES = ("CA", "BL", "PL", "BL-S", "PL-S")
@@ -109,8 +111,8 @@ def run_cell(n_db: int, scale: float, strategy: str) -> dict:
     unbatched = engine.execute(
         workload.query, strategy, engine.options.with_(batch_checks=False)
     )
-    row_path = engine.execute(
-        workload.query, strategy, engine.options.with_(columnar=False)
+    row_path = GlobalQueryEngine(row_path_view(workload.system)).execute(
+        workload.query, strategy
     )
 
     cold_digest = _digest(cold)
@@ -178,18 +180,18 @@ def measure_local_eval(n_db: int, scale: float, reps: int = 3) -> dict:
         (system.db(lq.db_name), lq)
         for lq in decomp.local_queries.values()
     ]
-    for db, lq in pairs:
-        db.execute_local(lq, columnar=True)
-        db.execute_local(lq, columnar=False)
+    row_pairs = [(RowPathDatabase.view(db), lq) for db, lq in pairs]
+    for db, lq in pairs + row_pairs:
+        db.execute_local(lq)
     start = time.perf_counter()
     for _ in range(reps):
         for db, lq in pairs:
-            db.execute_local(lq, columnar=True)
+            db.execute_local(lq)
     columnar_s = (time.perf_counter() - start) / reps
     start = time.perf_counter()
     for _ in range(reps):
-        for db, lq in pairs:
-            db.execute_local(lq, columnar=False)
+        for db, lq in row_pairs:
+            db.execute_local(lq)
     row_s = (time.perf_counter() - start) / reps
     return {
         "workload": f"ndb{n_db}-scale{scale:g}",

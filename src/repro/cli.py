@@ -50,7 +50,7 @@ from repro.bench.reporting import dump_traces, format_table, series_table
 from repro.core.engine import GlobalQueryEngine
 from repro.core.options import PLANNER_MODES, ExecutionOptions
 from repro.core.strategies import DEFAULT_REGISTRY
-from repro.errors import EvolutionError, FaultPlanError
+from repro.errors import ReproError
 from repro.faults import POLICIES, FaultPlan, resolve_policy
 from repro.sim.costs import table1_rows
 from repro.workload.generator import generate
@@ -147,15 +147,6 @@ def _add_batch_arg(command: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_columnar_arg(command: argparse.ArgumentParser) -> None:
-    command.add_argument(
-        "--no-columnar", action="store_true", dest="no_columnar",
-        help="evaluate local queries, assistant checks and the outerjoin "
-             "merge on the per-object row path instead of the columnar "
-             "extent kernels (answers are identical either way)",
-    )
-
-
 def _add_planner_arg(command: argparse.ArgumentParser) -> None:
     command.add_argument(
         "--planner", default="static", choices=PLANNER_MODES,
@@ -183,7 +174,6 @@ def _cli_options(args: argparse.Namespace) -> ExecutionOptions:
         fault_seed=getattr(args, "fault_seed", 0),
         batch_checks=not getattr(args, "no_batch", False),
         failover=getattr(args, "failover", True),
-        columnar=not getattr(args, "no_columnar", False),
         planner=getattr(args, "planner", "static"),
         conditions=not getattr(args, "no_conditions", False),
     )
@@ -301,14 +291,11 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     from repro.difftest import replay_cases, run_fuzz
     from repro.difftest.oracle import StrategyOracle
 
-    # --no-columnar anchors every invariant run on the row path (the
-    # oracle's columnar invariant still cross-checks the opposite path);
     # --planner pins every invariant run to an adaptive mode (the
     # planner invariant still cross-checks against static).
     planner = getattr(args, "planner", "static")
-    if args.no_columnar or planner != "static" or args.recertify:
+    if planner != "static" or args.recertify:
         oracle = StrategyOracle(
-            columnar=False if args.no_columnar else None,
             planner=planner if planner != "static" else None,
             recertify=args.recertify,
         )
@@ -474,13 +461,7 @@ def _cmd_recertify(args: argparse.Namespace) -> int:
         if row.conditions:
             atoms = " AND ".join(str(c) for c in row.conditions)
             print(f"  {row.goid}: {atoms}")
-    from repro.conditions import RepairError
-
-    try:
-        repaired = session.recertify(report)
-    except RepairError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    repaired = session.recertify(report)
     print(f"repaired: {repaired.summary()}")
     if repaired.repair_summary is not None:
         print(f"          {repaired.repair_summary.describe()}")
@@ -523,7 +504,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_fault_args(query)
     _add_batch_arg(query)
-    _add_columnar_arg(query)
     _add_planner_arg(query)
     _add_conditions_arg(query)
 
@@ -541,7 +521,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_fault_args(explain)
     _add_batch_arg(explain)
-    _add_columnar_arg(explain)
     _add_planner_arg(explain)
     _add_conditions_arg(explain)
 
@@ -563,7 +542,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_fault_args(compare)
     _add_batch_arg(compare)
-    _add_columnar_arg(compare)
     _add_planner_arg(compare)
     _add_conditions_arg(compare)
 
@@ -613,7 +591,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_fault_args(traffic)
     _add_batch_arg(traffic)
-    _add_columnar_arg(traffic)
     _add_planner_arg(traffic)
     _add_conditions_arg(traffic)
 
@@ -638,7 +615,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_fault_args(evolve)
     _add_batch_arg(evolve)
-    _add_columnar_arg(evolve)
     _add_planner_arg(evolve)
     _add_conditions_arg(evolve)
 
@@ -663,7 +639,6 @@ def build_parser() -> argparse.ArgumentParser:
              "execution must repair to the fault-free baseline via "
              "engine.recertify on the healed federation",
     )
-    _add_columnar_arg(fuzz)
     _add_planner_arg(fuzz)
 
     recert = sub.add_parser(
@@ -678,7 +653,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_fault_args(recert)
     _add_batch_arg(recert)
-    _add_columnar_arg(recert)
     _add_planner_arg(recert)
     _add_conditions_arg(recert)
     return parser
@@ -701,7 +675,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (EvolutionError, FaultPlanError) as exc:
+    except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:

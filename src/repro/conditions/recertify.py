@@ -97,7 +97,6 @@ class LocalizedRepairState:
     strategy: str
     query: object
     use_signatures: bool
-    columnar: bool
     #: Every decomposed per-site local query (down sites included).
     local_queries: Dict[str, object]
     #: Per-site local results actually obtained (pruned sites hold
@@ -119,7 +118,6 @@ class CentralizedRepairState:
     """A CA repair ships only the exports the degraded run skipped."""
 
     query: object
-    columnar: bool
     involved_classes: Tuple[str, ...]
     #: global class -> site -> exported objects (the partial
     #: materialization input the degraded run fused).
@@ -240,9 +238,7 @@ class ReCertifier:
 
         def run_request(request) -> None:
             nonlocal messages
-            for _req, rep in run_checks_paired(
-                [request], system, columnar=state.columnar
-            ):
+            for _req, rep in run_checks_paired([request], system):
                 reports.append(rep)
                 verdicts.add_report(rep)
             messages += 2
@@ -259,9 +255,7 @@ class ReCertifier:
             if local_query is None:
                 still_down.append(site)
                 continue
-            result = system.db(site).execute_local(
-                local_query, columnar=state.columnar
-            )
+            result = system.db(site).execute_local(local_query)
             local_results[site] = result
             contacted.append(site)
             messages += 2
@@ -345,7 +339,6 @@ class ReCertifier:
                 max_rounds,
                 ctx=self.ctx,
                 deferred_skips=deferred,
-                columnar=state.columnar,
                 skip_log=skipped_entries,
             )
             for chase in rounds:
@@ -416,7 +409,6 @@ class ReCertifier:
                 strategy=state.strategy,
                 query=state.query,
                 use_signatures=state.use_signatures,
-                columnar=state.columnar,
                 local_queries=state.local_queries,
                 local_results=local_results,
                 down_sites=tuple(still_down),
@@ -476,7 +468,6 @@ class ReCertifier:
             schema,
             system.catalog,
             exports,
-            columnar=state.columnar,
         )
         answer = evaluate_global_extent(state.query, extent)
         new_state: Optional[CentralizedRepairState] = None
@@ -484,7 +475,6 @@ class ReCertifier:
             demote_outerjoin_incomplete(answer, still_down)
             new_state = CentralizedRepairState(
                 query=state.query,
-                columnar=state.columnar,
                 involved_classes=state.involved_classes,
                 exports_by_class=exports,
                 skipped_sites=tuple(still_down),

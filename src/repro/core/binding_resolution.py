@@ -135,7 +135,7 @@ def _merge_entity_attribute(
 ) -> Value:
     """Merge one attribute across every copy of one entity.
 
-    Mirrors :func:`repro.integration.outerjoin._merge_attribute`:
+    Mirrors the merge of :func:`repro.integration.outerjoin.integrate_class`:
     constituent order, first-non-null for single-valued attributes, the
     distinct union for multi-valued ones, LOid->GOid translation with
     dangling references treated as missing.

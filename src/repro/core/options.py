@@ -38,7 +38,6 @@ OPTION_FIELDS = (
     "fault_seed",
     "batch_checks",
     "failover",
-    "columnar",
     "planner",
     "conditions",
 )
@@ -67,11 +66,6 @@ class ExecutionOptions:
         failover: resilient dispatch under a fault plan — circuit
             breakers, relay rerouting and verdict-aware demotion
             (``False`` restores eager skip-and-demote).
-        columnar: evaluate local queries, assistant checks, and the
-            outerjoin merge over the columnar extent kernels
-            (``False`` forces the per-object row path everywhere; answers
-            are byte-identical either way — the transparency contract the
-            difftest oracle enforces).
         planner: adaptive-planning mode — ``"static"`` (default; the
             analytic model's unmodified predictions, no pruning),
             ``"feedback"`` (AUTO's pick consults observed stalls,
@@ -94,7 +88,6 @@ class ExecutionOptions:
     fault_seed: int = 0
     batch_checks: bool = True
     failover: bool = True
-    columnar: bool = True
     planner: str = "static"
     conditions: bool = True
 
@@ -128,7 +121,6 @@ class ExecutionOptions:
             f"fault_seed={self.fault_seed}",
             f"batch_checks={self.batch_checks}",
             f"failover={self.failover}",
-            f"columnar={self.columnar}",
             f"planner={self.planner}",
             f"conditions={self.conditions}",
         ]

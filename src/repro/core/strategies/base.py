@@ -88,8 +88,8 @@ class Strategy(abc.ABC):
         """Run *query* on *system*; return answer and metrics.
 
         *ctx* is this execution's context: ``ctx.options`` carries every
-        per-execution setting (check batching, columnar path, planner
-        mode, conditions), and ``ctx.contact`` negotiates each site
+        per-execution setting (check batching, planner mode,
+        conditions), and ``ctx.contact`` negotiates each site
         link.  With faults off the context is inert, so the same code
         path yields the fault-free answer byte for byte.
         """
@@ -325,24 +325,16 @@ def _answerable_predicates(
 def run_checks_paired(
     requests: Sequence[CheckRequest],
     system: DistributedSystem,
-    columnar: bool = True,
 ) -> List[Tuple[CheckRequest, CheckReport]]:
     """Execute check requests at their home databases (steps BL_C3/PL_C3).
 
     Returns explicit ``(request, report)`` pairs so callers never rely on
     positional alignment between a request list and a report list — the
     seam batching rewrites, and the one a dropped or reordered report
-    would silently corrupt.  *columnar* picks the home database's
-    evaluation path (kernel vs per-object rows); verdicts are identical
-    either way.
+    would silently corrupt.
     """
     return [
-        (
-            request,
-            system.db(request.db_name).check_assistants(
-                request, columnar=columnar
-            ),
-        )
+        (request, system.db(request.db_name).check_assistants(request))
         for request in requests
     ]
 
@@ -452,7 +444,6 @@ def chase_blocked(
     max_rounds: int,
     ctx: ExecutionContext,
     deferred_skips: Optional[List[Tuple]] = None,
-    columnar: bool = True,
     skip_log: Optional[List[Tuple]] = None,
 ) -> List[ChaseRound]:
     """Resolve multi-hop missing-reference chains by iterated checking.
@@ -561,9 +552,7 @@ def chase_blocked(
                 key=lambda kv: (kv[0][0], kv[0][1], str(kv[0][2])),
             )
         ]
-        round_data.pairs = run_checks_paired(
-            requests, system, columnar=columnar
-        )
+        round_data.pairs = run_checks_paired(requests, system)
         rounds.append(round_data)
 
         # Index this round's verdicts and blocks.

@@ -175,7 +175,6 @@ class _LocalizedStrategy(Strategy):
         fed = system.simulator(ctx.plan)
         work = WorkCounters()
         cost = system.cost_model
-        use_columnar = ctx.options.columnar
         use_conditions = ctx.options.conditions
         coalesce = ctx.options.batch_checks
         # Constraint catalog, consulted only under planner=constraints/full.
@@ -286,12 +285,10 @@ class _LocalizedStrategy(Strategy):
             )
 
             # --- run the site's work for real (logic layer) -------------
-            result = db.execute_local(local_query, columnar=use_columnar)
+            result = db.execute_local(local_query)
             local_results[db_name] = result
             if self.phase_o_first:
-                scan, scan_meter = db.collect_unsolved(
-                    local_query, columnar=use_columnar
-                )
+                scan, scan_meter = db.collect_unsolved(local_query)
                 items = scan.all_items()
             else:
                 items = [
@@ -411,10 +408,8 @@ class _LocalizedStrategy(Strategy):
                     )
                     continue
                 runnable.append(request)
-            paired = run_checks_paired(runnable, system, columnar=use_columnar)
-            relayed_paired = run_checks_paired(
-                relayed, system, columnar=use_columnar
-            )
+            paired = run_checks_paired(runnable, system)
+            relayed_paired = run_checks_paired(relayed, system)
             reports.extend(report for _, report in paired)
             reports.extend(report for _, report in relayed_paired)
             self._dispatch_checks(
@@ -433,7 +428,7 @@ class _LocalizedStrategy(Strategy):
         chase_skip_log: List[Tuple] = []
         chase_rounds = chase_blocked(
             reports, system, verdicts, max_rounds, ctx=ctx,
-            deferred_skips=deferred_chase_skips, columnar=use_columnar,
+            deferred_skips=deferred_chase_skips,
             skip_log=chase_skip_log,
         )
         for round_no, chase in enumerate(chase_rounds, start=1):
@@ -634,7 +629,6 @@ class _LocalizedStrategy(Strategy):
                     strategy=self.name,
                     query=query,
                     use_signatures=self.use_signatures,
-                    columnar=use_columnar,
                     local_queries=dict(decomposed.local_queries),
                     local_results=dict(local_results),
                     down_sites=down_sites,

@@ -367,11 +367,3 @@ class DistributedSystem:
         if self.signatures is None:
             return self.build_signatures()
         return self.signatures
-
-    # --- query-shape helpers ------------------------------------------------
-
-    def involved_attribute_count(self, query, global_class: str) -> int:
-        """Number of this class's attributes a query projects or tests."""
-        from repro.core.decompose import attributes_needed
-
-        return len(attributes_needed(query, self.global_schema, global_class))

@@ -14,10 +14,12 @@ reproduce.  What it checks:
     one not exempted in :data:`EXEMPT`), the unbatched answer strictly
     equals the batched one.
 ``columnar``
-    For every strategy, flipping the columnar extent path (batch 3VL
-    predicate kernels, batched assistant checks, batched outerjoin
-    merge) and re-running yields an answer strictly equal to the other
-    path's — the transparency contract.
+    For every strategy that reaches a component database's columnar
+    kernels (batch 3VL local evaluation, PL's missing-data scan,
+    assistant checks), re-running on the federation's row-path view
+    (:func:`repro.difftest.rowpath.row_path_view`) yields an answer
+    strictly equal to the kernel run's — the transparency contract.
+    CA is exempt: it only scans whole extents for export.
 ``planner``
     For the :attr:`StrategyOracle.PLANNER_MATRIX` pairs, running with
     an adaptive planner mode (constraint pruning, trace feedback, or
@@ -78,16 +80,18 @@ from repro.core.results import (
 from repro.core.strategies import DEFAULT_REGISTRY
 from repro.core.system import DistributedSystem
 from repro.difftest.cases import FuzzCase
+from repro.difftest.rowpath import row_path_view
 from repro.objectdb.ids import GOid
 from repro.objectdb.values import is_null
 
 #: Policy used for the fault suite (degrade to partial answers).
 FAULT_POLICY = "degrade"
 
-#: Invariants a strategy is exempt from because the flipped option cannot
-#: reach its execution: CA ships whole extents, so it never dispatches
-#: checks (``batching``) and neither prunes nor predicts (``planner``).
-EXEMPT = {"CA": frozenset({"batching", "planner"})}
+#: Invariants a strategy is exempt from because the flipped setting
+#: cannot reach its execution: CA ships whole extents, so it never
+#: dispatches checks (``batching``), never runs a database kernel
+#: (``columnar``), and neither prunes nor predicts (``planner``).
+EXEMPT = {"CA": frozenset({"batching", "columnar", "planner"})}
 
 
 @dataclass(frozen=True)
@@ -142,17 +146,10 @@ class StrategyOracle:
     def __init__(
         self,
         registry=DEFAULT_REGISTRY,
-        columnar: Optional[bool] = None,
         planner: Optional[str] = None,
         recertify: bool = False,
     ) -> None:
         self.registry = registry
-        #: Base execution path for every invariant run: ``None`` keeps
-        #: the engine default (columnar on), ``False`` forces the row
-        #: path (the fuzz CLI's ``--no-columnar``).  The ``columnar``
-        #: invariant always compares against the *opposite* path, so
-        #: on/off equivalence is checked either way.
-        self.columnar = columnar
         #: Base planner mode for every invariant run: ``None`` keeps the
         #: engine default (``static``); the fuzz CLI's ``--planner``
         #: flag pins another mode, so the whole invariant suite also
@@ -182,8 +179,6 @@ class StrategyOracle:
         # One session per case: every oracle execution flows through it
         # with explicit ExecutionOptions.
         session = engine.session(name=f"difftest:{case.label}")
-        if self.columnar is not None:
-            session.options = session.options.with_(columnar=self.columnar)
         if self.planner is not None:
             session.options = session.options.with_(planner=self.planner)
 
@@ -246,26 +241,27 @@ class StrategyOracle:
         return violations
 
     def _check_columnar(self, case, session, built, answers) -> List[Violation]:
-        """Flipping the columnar execution path must never change an answer.
+        """The row path must reproduce every kernel answer.
 
         The transparency contract of the columnar extent kernels: batch
-        3VL predicate evaluation, batched assistant checks and the
-        batched outerjoin merge must reproduce the per-object row path
-        byte for byte.  Every strategy touches a columnar kernel (CA
-        through the outerjoin merge), so each is re-run on the opposite
-        path and compared strictly against its base answer.
+        3VL local evaluation, the missing-data scan and batched
+        assistant checks must reproduce the per-object row path byte
+        for byte.  Each non-exempt strategy is re-run on the
+        federation's row-path view with the same options and compared
+        strictly against its kernel answer.
         """
         violations = []
-        base = session.options.columnar
-        flipped_options = session.options.with_(columnar=not base)
+        rows = GlobalQueryEngine(row_path_view(built.system)).session(
+            name=f"difftest-rows:{case.label}", options=session.options
+        )
         for name in self.strategy_names:
-            other = session.execute(
-                built.query, name, options=flipped_options
-            ).results
+            if "columnar" in EXEMPT.get(name, ()):
+                continue
+            other = rows.execute(built.query, name).results
             if not same_answers(answers[name], other):
                 violations.append(Violation(
                     "columnar", case.label,
-                    f"{name}: columnar={base} vs columnar={not base}: "
+                    f"{name}: kernels vs row path: "
                     f"{_first_difference(answers[name], other)}",
                     case,
                 ))

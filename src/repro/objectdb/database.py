@@ -29,8 +29,10 @@ from repro.core.query import Path, Predicate
 from repro.core.tvl import TV
 from repro.errors import ObjectStoreError, UnknownClassError
 from repro.objectdb.columnar import (
+    CODE_OF_TV,
     ColumnarExtent,
     FALSE_CODE,
+    PredicateColumn,
     TV_OF_CODE,
     UNKNOWN_CODE,
     UnsolvedEntry,
@@ -38,18 +40,15 @@ from repro.objectdb.columnar import (
 from repro.objectdb.ids import GOid, LOid
 from repro.objectdb.indexes import IndexManager, IndexProbe
 from repro.objectdb.local_query import (
-    BatchPredicateSets,
     BlockedAt,
     CheckReport,
     CheckRequest,
     LocalQuery,
     LocalResultRow,
     LocalResultSet,
-    RemovedPredicate,
     RowKind,
     UnsolvedItem,
     UnsolvedPredicateOnObject,
-    partition_codes,
 )
 from repro.objectdb.objects import LocalObject
 from repro.objectdb.schema import ComponentSchema
@@ -228,9 +227,7 @@ class ComponentDatabase:
 
     # --- local query execution (steps BL_C1 / PL_C2) -------------------------
 
-    def execute_local(
-        self, query: LocalQuery, *, columnar: bool = True
-    ) -> LocalResultSet:
+    def execute_local(self, query: LocalQuery) -> LocalResultSet:
         """Evaluate *query* against the local root class extent.
 
         Objects whose local predicates are FALSE are eliminated.  For the
@@ -239,20 +236,19 @@ class ComponentDatabase:
         and the unsolved items (branch objects with missing data) together
         with their relative unsolved predicates.
 
-        With ``columnar`` (the default) evaluation runs over the cached
-        :class:`~repro.objectdb.columnar.ColumnarExtent` batch kernels —
-        byte-identical rows and meter totals; the row path runs instead
-        whenever the columnar attempt would hit an evaluation error or an
-        uncacheable operand (see docs/PERFORMANCE.md).
+        Evaluation runs over the cached
+        :class:`~repro.objectdb.columnar.ColumnarExtent` batch kernels;
+        the per-object row path (byte-identical rows and meter totals)
+        runs instead whenever the kernel would hit an evaluation error or
+        an uncacheable operand (see docs/PERFORMANCE.md).
         """
         if query.db_name != self.name:
             raise ObjectStoreError(
                 f"query for db {query.db_name!r} executed at {self.name!r}"
             )
-        if columnar:
-            result = self._execute_local_columnar(query)
-            if result is not None:
-                return result
+        result = self._execute_local_columnar(query)
+        if result is not None:
+            return result
         result = LocalResultSet(db_name=self.name, range_class=query.range_class)
         meter = EvalMeter()
         candidates, probe = self._select_candidates(query)
@@ -549,29 +545,18 @@ class ComponentDatabase:
         holder, depth = self._holder_at_depth(
             root, predicate.path, missing_depth, meter
         )
-        relative = UnsolvedPredicateOnObject(
-            original=predicate,
-            relative_path=Path(predicate.path.steps[depth:]),
+        steps = predicate.path.steps
+        entry = UnsolvedEntry(
+            holder.loid,
+            holder.class_name,
+            holder.loid == root.loid,
+            UnsolvedPredicateOnObject(
+                original=predicate, relative_path=Path(steps[depth:])
+            ),
+            Path(steps[:depth]) if depth else None,
+            0,
         )
-        if holder.loid == root.loid:
-            if relative not in root_unsolved:
-                root_unsolved.append(relative)
-            return
-        item = items.get(holder.loid)
-        if item is None:
-            items[holder.loid] = UnsolvedItem(
-                loid=holder.loid,
-                class_name=holder.class_name,
-                reached_via=Path(predicate.path.steps[:depth]),
-                unsolved=(relative,),
-            )
-        elif relative not in item.unsolved:
-            items[holder.loid] = UnsolvedItem(
-                loid=item.loid,
-                class_name=item.class_name,
-                reached_via=item.reached_via,
-                unsolved=item.unsolved + (relative,),
-            )
+        self._apply_unsolved(entry, root_unsolved, items)
 
     @staticmethod
     def _apply_unsolved(
@@ -579,10 +564,11 @@ class ComponentDatabase:
         root_unsolved: List[UnsolvedPredicateOnObject],
         items: Dict[LOid, UnsolvedItem],
     ) -> None:
-        """:meth:`_record_unsolved` from a precomputed columnar entry.
+        """Merge one unsolved entry into a row's bookkeeping.
 
-        Same bookkeeping, but the holder walk and the relative-predicate
-        construction were done once per extent version by
+        The holder walk and the relative predicate come either from
+        :meth:`_record_unsolved` (row path) or, precomputed once per
+        extent version, from
         :meth:`~repro.objectdb.columnar.ColumnarExtent.unsolved_column`.
         """
         relative = entry.relative
@@ -636,7 +622,7 @@ class ComponentDatabase:
     # --- phase-O-first scan (step PL_C1) --------------------------------------
 
     def collect_unsolved(
-        self, query: LocalQuery, *, columnar: bool = True
+        self, query: LocalQuery
     ) -> Tuple["UnsolvedScan", EvalMeter]:
         """Locate unsolved predicates/items for *every* root object.
 
@@ -648,18 +634,17 @@ class ComponentDatabase:
         overhead.
 
         One comparison per (object, predicate) probe is charged to the
-        meter for the missing-data test; path walks charge derefs.  With
-        ``columnar`` the probe reads cached walk columns (byte-identical
-        scan and meter totals; the row path runs when a walk would raise).
+        meter for the missing-data test; path walks charge derefs.  The
+        probe reads cached walk columns (the row path, byte-identical in
+        scan and meter totals, runs when a walk would raise).
         """
         if query.db_name != self.name:
             raise ObjectStoreError(
                 f"query for db {query.db_name!r} executed at {self.name!r}"
             )
-        if columnar:
-            out = self._collect_unsolved_columnar(query)
-            if out is not None:
-                return out
+        out = self._collect_unsolved_columnar(query)
+        if out is not None:
+            return out
         meter = EvalMeter()
         scan = UnsolvedScan(db_name=self.name, range_class=query.range_class)
         local_predicates = query.local_predicates
@@ -761,69 +746,21 @@ class ComponentDatabase:
 
     # --- assistant checking (steps BL_C3 / PL_C3) -----------------------------
 
-    def check_assistants(
-        self, request: CheckRequest, *, columnar: bool = True
-    ) -> CheckReport:
+    def check_assistants(self, request: CheckRequest) -> CheckReport:
         """Evaluate the appended unsolved predicates on listed objects.
 
-        With ``columnar`` verdicts come from cached predicate columns
-        (byte-identical reports and meter totals; the row path runs when
-        a checked row would raise or an operand defeats caching).
+        Verdicts come from cached predicate columns; the row path
+        (byte-identical reports and meter totals) runs when a checked row
+        would raise or an operand defeats caching.
         """
         if request.db_name != self.name:
             raise ObjectStoreError(
                 f"check request for db {request.db_name!r} executed at "
                 f"{self.name!r}"
             )
-        if columnar:
-            report = self._check_assistants_columnar(request)
-            if report is not None:
-                return report
-        report = CheckReport(db_name=self.name, class_name=request.class_name)
-        meter = EvalMeter()
-        satisfied: Dict[Predicate, List[LOid]] = {p: [] for p in request.predicates}
-        violated: Dict[Predicate, List[LOid]] = {p: [] for p in request.predicates}
-        unknown: Dict[Predicate, List[LOid]] = {p: [] for p in request.predicates}
-        blocked: List[BlockedAt] = []
-        for loid in request.loids:
-            obj = self.get(loid)
-            report.objects_checked += 1
-            for predicate in request.predicates:
-                if obj is None:
-                    unknown[predicate].append(loid)
-                    continue
-                outcome = evaluate_predicate(obj, predicate, self.deref, meter)
-                if outcome.tv is TV.TRUE:
-                    satisfied[predicate].append(loid)
-                elif outcome.tv is TV.FALSE:
-                    violated[predicate].append(loid)
-                else:
-                    unknown[predicate].append(loid)
-                    missing = outcome.missing
-                    if missing is not None and missing.holder_id != loid:
-                        # Stuck at a *different* object: report it so the
-                        # global site can chase its isomeric copies.
-                        blocked.append(
-                            BlockedAt(
-                                checked=loid,
-                                predicate=predicate,
-                                holder=missing.holder_id,  # type: ignore[arg-type]
-                                holder_class=missing.holder_class,
-                                remaining=Predicate(
-                                    path=Path(
-                                        predicate.path.steps[missing.depth:]
-                                    ),
-                                    op=predicate.op,
-                                    operand=predicate.operand,
-                                ),
-                            )
-                        )
-        report.satisfied = {p: tuple(v) for p, v in satisfied.items()}
-        report.violated = {p: tuple(v) for p, v in violated.items()}
-        report.unknown = {p: tuple(v) for p, v in unknown.items()}
-        report.blocked = tuple(blocked)
-        report.comparisons = meter.comparisons
-        report.derefs = meter.derefs
+        report = self._check_assistants_columnar(request)
+        if report is None:
+            report = self._check_objects(request, {}, ())
         return report
 
     def _check_assistants_columnar(
@@ -832,11 +769,8 @@ class ComponentDatabase:
         """Columnar assistant check; ``None`` means "use the row path".
 
         Verdicts for listed objects come straight from the class's cached
-        predicate columns.  LOids outside the request class's extent fall
-        back to per-object row evaluation inline (preserving the row
-        path's loid-major report order); a checked row with an error
-        marker abandons the whole attempt so the row path raises
-        canonically.
+        predicate columns.  A checked row with an error marker abandons
+        the whole attempt so the row path raises canonically.
         """
         try:
             col = self.columnar_extent(request.class_name)
@@ -855,89 +789,78 @@ class ComponentDatabase:
             r = row_of.get(loid)
             if r is not None and any(r in pcol.error_rows for pcol in pcols):
                 return None
-        report = CheckReport(db_name=self.name, class_name=request.class_name)
+        return self._check_objects(request, row_of, pcols)
+
+    def _check_objects(
+        self,
+        request: CheckRequest,
+        row_of: Dict[LOid, int],
+        pcols: List[PredicateColumn],
+    ) -> CheckReport:
+        """Check every listed object, loid-major.
+
+        A LOid with a row in *row_of* reads its verdicts and charges from
+        the predicate columns *pcols*.  Any other LOid (every one, on the
+        row path) is fetched with :meth:`get` and evaluated per object:
+        it may live in another extent, or be absent (all UNKNOWN).  An
+        UNKNOWN verdict stuck at a *different* object than the checked
+        one is reported as blocked so the global site can chase that
+        object's isomeric copies.
+        """
+        predicates = request.predicates
         meter = EvalMeter()
-        satisfied: Dict[Predicate, List[LOid]] = {
-            p: [] for p in request.predicates
-        }
-        violated: Dict[Predicate, List[LOid]] = {
-            p: [] for p in request.predicates
-        }
-        unknown: Dict[Predicate, List[LOid]] = {
-            p: [] for p in request.predicates
-        }
+        # Indexed by packed code: FALSE, UNKNOWN, TRUE.
+        by_code: Tuple[Dict[Predicate, List[LOid]], ...] = tuple(
+            {p: [] for p in predicates} for _ in TV_OF_CODE
+        )
+        # Each predicate's three lists, resolved once per request.
+        lists_of = [tuple(lists[p] for lists in by_code) for p in predicates]
         blocked: List[BlockedAt] = []
         comp_acc = 0
         deref_acc = 0
-        predicates = request.predicates
         for loid in request.loids:
-            report.objects_checked += 1
             r = row_of.get(loid)
-            if r is None:
-                # Not in this class's extent: replicate the row path's
-                # get()-based check for this loid (it may live in another
-                # extent, or be absent entirely).
-                obj = self.get(loid)
-                for predicate in predicates:
-                    if obj is None:
-                        unknown[predicate].append(loid)
-                        continue
+            obj = self.get(loid) if r is None else None
+            for i, predicate in enumerate(predicates):
+                if r is not None:
+                    pcol = pcols[i]
+                    code = pcol.codes[r]
+                    miss = pcol.miss[r]
+                    comp_acc += pcol.comparisons[r]
+                    deref_acc += pcol.derefs[r]
+                elif obj is None:
+                    code, miss = UNKNOWN_CODE, None
+                else:
                     outcome = evaluate_predicate(
                         obj, predicate, self.deref, meter
                     )
-                    if outcome.tv is TV.TRUE:
-                        satisfied[predicate].append(loid)
-                    elif outcome.tv is TV.FALSE:
-                        violated[predicate].append(loid)
-                    else:
-                        unknown[predicate].append(loid)
-                        missing = outcome.missing
-                        if missing is not None and missing.holder_id != loid:
-                            blocked.append(
-                                BlockedAt(
-                                    checked=loid,
-                                    predicate=predicate,
-                                    holder=missing.holder_id,  # type: ignore[arg-type]
-                                    holder_class=missing.holder_class,
-                                    remaining=Predicate(
-                                        path=Path(
-                                            predicate.path.steps[
-                                                missing.depth:
-                                            ]
-                                        ),
-                                        op=predicate.op,
-                                        operand=predicate.operand,
-                                    ),
-                                )
-                            )
-                continue
-            for predicate, pcol in zip(predicates, pcols):
-                code = pcol.codes[r]
-                comp_acc += pcol.comparisons[r]
-                deref_acc += pcol.derefs[r]
-                if code == FALSE_CODE:
-                    violated[predicate].append(loid)
-                elif code == UNKNOWN_CODE:
-                    unknown[predicate].append(loid)
-                    miss = pcol.miss[r]
-                    if miss is not None and miss[1] != loid:
-                        blocked.append(
-                            BlockedAt(
-                                checked=loid,
-                                predicate=predicate,
-                                holder=miss[1],
-                                holder_class=miss[2],
-                                remaining=Predicate(
-                                    path=Path(
-                                        predicate.path.steps[miss[0]:]
-                                    ),
-                                    op=predicate.op,
-                                    operand=predicate.operand,
-                                ),
-                            )
-                        )
-                else:
-                    satisfied[predicate].append(loid)
+                    code = CODE_OF_TV[outcome.tv]
+                    m = outcome.missing
+                    miss = (
+                        None
+                        if m is None
+                        else (m.depth, m.holder_id, m.holder_class)
+                    )
+                lists_of[i][code].append(loid)
+                if code != UNKNOWN_CODE or miss is None or miss[1] == loid:
+                    continue
+                depth, holder, holder_class = miss
+                blocked.append(
+                    BlockedAt(
+                        checked=loid,
+                        predicate=predicate,
+                        holder=holder,
+                        holder_class=holder_class,
+                        remaining=Predicate(
+                            path=Path(predicate.path.steps[depth:]),
+                            op=predicate.op,
+                            operand=predicate.operand,
+                        ),
+                    )
+                )
+        violated, unknown, satisfied = by_code
+        report = CheckReport(db_name=self.name, class_name=request.class_name)
+        report.objects_checked = len(request.loids)
         report.satisfied = {p: tuple(v) for p, v in satisfied.items()}
         report.violated = {p: tuple(v) for p, v in violated.items()}
         report.unknown = {p: tuple(v) for p, v in unknown.items()}
@@ -945,45 +868,3 @@ class ComponentDatabase:
         report.comparisons = meter.comparisons + comp_acc
         report.derefs = meter.derefs + deref_acc
         return report
-
-    # --- batch predicate kernel (public, id-set form) --------------------------
-
-    def batch_evaluate_predicate(
-        self, class_name: str, predicate: Predicate, *, columnar: bool = True
-    ) -> BatchPredicateSets:
-        """Evaluate one predicate over a whole extent in one pass.
-
-        Returns true/maybe/false LOid-sets (extent order) instead of
-        per-object ``TV`` values — the kernel form the paper's phase-L
-        check reduces to.  With ``columnar`` off, or when a row's
-        evaluation would raise, objects are evaluated in extent order via
-        :func:`~repro.core.predicates.evaluate_predicate` so exceptions
-        surface canonically.
-        """
-        if columnar:
-            col = self.columnar_extent(class_name)
-            pcol = col.predicate_column(predicate)
-            if pcol is not None and not pcol.error_rows:
-                true, maybe, false = partition_codes(
-                    tuple(col.loids), pcol.codes
-                )
-                return BatchPredicateSets(
-                    predicate=predicate, true=true, maybe=maybe, false=false
-                )
-        true_l: List[LOid] = []
-        maybe_l: List[LOid] = []
-        false_l: List[LOid] = []
-        for obj in self.extent(class_name).values():
-            outcome = evaluate_predicate(obj, predicate, self.deref)
-            if outcome.tv is TV.TRUE:
-                true_l.append(obj.loid)
-            elif outcome.tv is TV.FALSE:
-                false_l.append(obj.loid)
-            else:
-                maybe_l.append(obj.loid)
-        return BatchPredicateSets(
-            predicate=predicate,
-            true=tuple(true_l),
-            maybe=tuple(maybe_l),
-            false=tuple(false_l),
-        )

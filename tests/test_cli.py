@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.workload.paper_example import Q1_TEXT
 
 
 class TestParser:
@@ -65,6 +66,26 @@ class TestCommands:
         assert main(["compare", "--seed", "3", "--scale", "0.02"]) == 0
         out = capsys.readouterr().out
         assert "strategy" in out and "PL-S" in out
+
+
+class TestBadInput:
+    """A typed engine error prints one ``error:`` line and exits 2."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["query", "Selct X.name From Student X"],
+         "error: expected keyword 'select', found 'Selct' (at position 0)"),
+        (["query", "Select X.name From Nope X"],
+         "error: unknown range class 'Nope'"),
+        (["query", "--strategy", "PL", "--faults", "DB1@0:1e9",
+          "--policy", "fail-fast", Q1_TEXT],
+         "error: site 'DB1' unavailable after 1 attempt(s) (down); "
+         "policy is fail-fast"),
+    ], ids=["syntax", "unknown-class", "unavailable"])
+    def test_error_line_and_exit_2(self, capsys, argv, message):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err == message + "\n"
+        assert "Traceback" not in captured.out + captured.err
 
 
 class TestAutoStrategy:

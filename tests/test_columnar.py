@@ -1,31 +1,33 @@
 """The columnar extent hot path and its transparency contract.
 
-Every batch kernel must be *byte-identical* to the row path it replaces:
-same rows, same bindings and unsolved bookkeeping, same meter totals,
-same exceptions.  These tests pin that contract down object by object on
-hand-built extents covering the 3VL edge cases (all-null columns, mixed
-null/value under every operator, empty extents) and verify the
-ExecutionOptions/engine plumbing end to end.
+Every batch kernel must be *byte-identical* to the row path it falls
+back to: same rows, same bindings and unsolved bookkeeping, same meter
+totals, same exceptions.  These tests pin that contract down object by
+object on hand-built extents covering the 3VL edge cases (all-null
+columns, mixed null/value under every operator, empty extents), always
+comparing a database against its row-path view
+(:mod:`repro.difftest.rowpath`), and verify it end to end through the
+engine.
 """
 
 import pytest
 
 from repro.core.engine import GlobalQueryEngine
-from repro.core.options import ExecutionOptions
-from repro.core.predicates import EvalMeter, batch_compare, compare_values
+from repro.core.predicates import (
+    EvalMeter,
+    batch_compare,
+    compare_values,
+    evaluate_predicate,
+)
 from repro.core.query import Op, Path, Predicate
 from repro.core.results import same_answers
 from repro.core.tvl import TV
 from repro.errors import QueryError
-from repro.objectdb.columnar import (
-    FALSE_CODE,
-    TRUE_CODE,
-    TV_OF_CODE,
-    UNKNOWN_CODE,
-)
+from repro.difftest.rowpath import RowPathDatabase, row_path_view
+from repro.objectdb.columnar import TV_OF_CODE, UNKNOWN_CODE
 from repro.objectdb.database import ComponentDatabase
 from repro.objectdb.ids import LOid
-from repro.objectdb.local_query import CheckRequest, LocalQuery, partition_codes
+from repro.objectdb.local_query import CheckRequest, LocalQuery
 from repro.objectdb.objects import LocalObject
 from repro.objectdb.schema import (
     ClassDef,
@@ -78,6 +80,28 @@ def local_query(where, targets=(Path.of("b"),)):
     return LocalQuery(
         db_name="DB", range_class="C", targets=tuple(targets), where=where
     )
+
+
+def check_extent(db, predicate):
+    """Check *predicate* on every object of C, one request."""
+    request = CheckRequest(
+        db_name="DB",
+        class_name="C",
+        loids=tuple(db.extent("C")),
+        predicates=(predicate,),
+    )
+    return db.check_assistants(request)
+
+
+def assert_reports_equal(kernel, row):
+    """Field-by-field equality of two CheckReports."""
+    assert kernel.satisfied == row.satisfied
+    assert kernel.violated == row.violated
+    assert kernel.unknown == row.unknown
+    assert kernel.blocked == row.blocked
+    assert kernel.objects_checked == row.objects_checked
+    assert kernel.comparisons == row.comparisons
+    assert kernel.derefs == row.derefs
 
 
 def assert_result_sets_equal(columnar, row):
@@ -144,19 +168,6 @@ class TestBatchCompare:
             batch_compare(Op.CONTAINS, [1], 1, None)
 
 
-class TestPartitionCodes:
-    def test_three_way_split_preserves_order(self):
-        loids = tuple(LOid("DB", f"o{i}") for i in range(5))
-        codes = [TRUE_CODE, FALSE_CODE, UNKNOWN_CODE, TRUE_CODE, FALSE_CODE]
-        true, maybe, false = partition_codes(loids, codes)
-        assert true == (loids[0], loids[3])
-        assert maybe == (loids[2],)
-        assert false == (loids[1], loids[4])
-
-    def test_empty(self):
-        assert partition_codes((), []) == ((), (), ())
-
-
 class TestColumnarExtentKernels:
     def test_all_null_column_is_all_unknown(self):
         db = make_db([("c1", {"a": NULL}), ("c2", {}), ("c3", {"a": NULL})])
@@ -177,42 +188,50 @@ class TestColumnarExtentKernels:
         pred = Predicate(path=Path.of("a"), op=Op.EQ, operand=1)
         pcol = col.predicate_column(pred)
         assert pcol.codes == []
-        sets = db.batch_evaluate_predicate("C", pred)
-        assert sets.true == sets.maybe == sets.false == ()
+        report = check_extent(db, pred)
+        assert report.satisfied == report.violated == report.unknown == {
+            pred: ()
+        }
 
-    @pytest.mark.parametrize("op", ALL_OPS)
-    def test_mixed_nulls_match_row_path_per_object(self, op):
+    @pytest.mark.parametrize("path, op", [
+        pytest.param(Path.of("a"), op, id=str(op)) for op in ALL_OPS
+    ] + [
+        pytest.param(Path.of("tags"), Op.CONTAINS, id="tags-contains"),
+        pytest.param(Path.of("ref", "x"), Op.EQ, id="ref.x-="),
+    ])
+    def test_mixed_nulls_match_row_path_per_object(self, path, op):
         db = make_db(mixed_rows())
-        pred = Predicate(path=Path.of("a"), op=op, operand=1)
+        pred = Predicate(path=path, op=op, operand=1)
         col = db.columnar_extent("C")
         pcol = col.predicate_column(pred)
-        from repro.core.predicates import evaluate_predicate
-
         for row, obj in enumerate(col.objects):
-            expected = evaluate_predicate(obj, pred, db.deref)
+            meter = EvalMeter()
+            expected = evaluate_predicate(obj, pred, db.deref, meter)
             assert TV_OF_CODE[pcol.codes[row]] is expected.tv, (
                 f"{op} row {row} ({obj.loid})"
             )
+            assert pcol.comparisons[row] == meter.comparisons
+            assert pcol.derefs[row] == meter.derefs
 
     @pytest.mark.parametrize("op", ALL_OPS + (Op.CONTAINS,))
     def test_batch_sets_equal_row_path(self, op):
-        db = make_db(mixed_rows())
+        # Checking a whole extent splits it into satisfied/violated/
+        # unknown LOid sets, on the kernel and the row path alike.
         attr = "tags" if op is Op.CONTAINS else "a"
         pred = Predicate(path=Path.of(attr), op=op, operand=1)
-        on = db.batch_evaluate_predicate("C", pred, columnar=True)
-        off = db.batch_evaluate_predicate("C", pred, columnar=False)
-        assert on == off
+        kernel = check_extent(make_db(mixed_rows()), pred)
+        row = check_extent(RowPathDatabase.view(make_db(mixed_rows())), pred)
+        assert_reports_equal(kernel, row)
 
     def test_nested_path_misses_match_row_path(self):
-        db = make_db(mixed_rows())
         pred = Predicate(path=Path.of("ref", "x"), op=Op.EQ, operand=10)
-        on = db.batch_evaluate_predicate("C", pred, columnar=True)
-        off = db.batch_evaluate_predicate("C", pred, columnar=False)
-        assert on == off
+        kernel = check_extent(make_db(mixed_rows()), pred)
+        row = check_extent(RowPathDatabase.view(make_db(mixed_rows())), pred)
+        assert_reports_equal(kernel, row)
         # c1 -> d1.x=10 TRUE; c2 -> d2.x NULL, c4 dangling, c5 missing,
         # c3 has no ref: all UNKNOWN.
-        assert on.true == (LOid("DB", "c1"),)
-        assert len(on.maybe) == 4
+        assert kernel.satisfied[pred] == (LOid("DB", "c1"),)
+        assert len(kernel.unknown[pred]) == 4
 
     def test_stale_view_never_served(self):
         db = make_db(mixed_rows())
@@ -240,8 +259,8 @@ class TestExecuteLocalParity:
     @pytest.mark.parametrize("where", WHERES)
     def test_rows_and_meters_identical(self, where):
         query = local_query(where, targets=(Path.of("b"), Path.of("ref", "x")))
-        on = make_db(mixed_rows()).execute_local(query, columnar=True)
-        off = make_db(mixed_rows()).execute_local(query, columnar=False)
+        on = make_db(mixed_rows()).execute_local(query)
+        off = RowPathDatabase.view(make_db(mixed_rows())).execute_local(query)
         assert_result_sets_equal(on, off)
 
     def test_indexed_candidates_identical(self):
@@ -251,8 +270,8 @@ class TestExecuteLocalParity:
         indexed_on.create_index("C", "a")
         indexed_off = make_db(mixed_rows())
         indexed_off.create_index("C", "a")
-        on = indexed_on.execute_local(query, columnar=True)
-        off = indexed_off.execute_local(query, columnar=False)
+        on = indexed_on.execute_local(query)
+        off = RowPathDatabase.view(indexed_off).execute_local(query)
         assert_result_sets_equal(on, off)
         assert on.index_probe is not None
 
@@ -260,12 +279,9 @@ class TestExecuteLocalParity:
         where = ((Predicate(path=Path.of("a"), op=Op.EQ, operand=1),
                   Predicate(path=Path.of("ref", "x"), op=Op.LT, operand=99)),)
         query = local_query(where)
-        scan_on, meter_on = make_db(mixed_rows()).collect_unsolved(
-            query, columnar=True
-        )
-        scan_off, meter_off = make_db(mixed_rows()).collect_unsolved(
-            query, columnar=False
-        )
+        scan_on, meter_on = make_db(mixed_rows()).collect_unsolved(query)
+        row_db = RowPathDatabase.view(make_db(mixed_rows()))
+        scan_off, meter_off = row_db.collect_unsolved(query)
         assert scan_on.objects_scanned == scan_off.objects_scanned
         assert scan_on.per_root == scan_off.per_root
         assert meter_on.comparisons == meter_off.comparisons
@@ -285,15 +301,28 @@ class TestExecuteLocalParity:
                 Predicate(path=Path.of("ref", "x"), op=Op.GE, operand=10),
             ),
         )
-        on = make_db(mixed_rows()).check_assistants(request, columnar=True)
-        off = make_db(mixed_rows()).check_assistants(request, columnar=False)
-        assert on.satisfied == off.satisfied
-        assert on.violated == off.violated
-        assert on.unknown == off.unknown
-        assert on.blocked == off.blocked
-        assert on.objects_checked == off.objects_checked
-        assert on.comparisons == off.comparisons
-        assert on.derefs == off.derefs
+        on = make_db(mixed_rows()).check_assistants(request)
+        off = RowPathDatabase.view(make_db(mixed_rows())).check_assistants(
+            request
+        )
+        assert_reports_equal(on, off)
+        assert on.blocked  # c2 is stuck at d2, a different object
+
+    def test_row_view_never_builds_a_columnar_extent(self):
+        db = make_db(mixed_rows())
+        view = RowPathDatabase.view(db)
+        pred = Predicate(path=Path.of("ref", "x"), op=Op.EQ, operand=10)
+        query = local_query(((pred,),))
+        view.execute_local(query)
+        view.collect_unsolved(query)
+        view.check_assistants(CheckRequest(
+            db_name="DB", class_name="C", loids=(LOid("DB", "c1"),),
+            predicates=(pred,),
+        ))
+        assert db._columnar == {}
+        # The kernel path on the original does build one.
+        db.execute_local(query)
+        assert set(db._columnar) == {"C"}
 
 
 class TestErrorFallback:
@@ -309,49 +338,48 @@ class TestErrorFallback:
     def test_execute_local_raises_canonically(self):
         where = ((Predicate(path=Path.of("ref", "x"), op=Op.EQ, operand=1),),)
         with pytest.raises(QueryError) as on:
-            self.badly_typed_db().execute_local(
-                local_query(where), columnar=True
-            )
+            self.badly_typed_db().execute_local(local_query(where))
         with pytest.raises(QueryError) as off:
-            self.badly_typed_db().execute_local(
-                local_query(where), columnar=False
+            RowPathDatabase.view(self.badly_typed_db()).execute_local(
+                local_query(where)
             )
         assert str(on.value) == str(off.value)
 
     def test_batch_kernel_falls_back_and_raises(self):
         pred = Predicate(path=Path.of("ref", "x"), op=Op.EQ, operand=1)
-        with pytest.raises(QueryError):
-            self.badly_typed_db().batch_evaluate_predicate("C", pred)
+        with pytest.raises(QueryError) as on:
+            check_extent(self.badly_typed_db(), pred)
+        with pytest.raises(QueryError) as off:
+            check_extent(RowPathDatabase.view(self.badly_typed_db()), pred)
+        assert str(on.value) == str(off.value)
 
     def test_unhashable_operand_falls_back(self):
         db = make_db(mixed_rows())
         pred = Predicate(path=Path.of("a"), op=Op.EQ, operand=[1, 2])
         col = db.columnar_extent("C")
         assert col.predicate_column(pred) is None  # caching impossible
-        on = db.batch_evaluate_predicate("C", pred, columnar=True)
-        off = db.batch_evaluate_predicate("C", pred, columnar=False)
-        assert on == off
+        # The missing-data scan never hashes the predicate: its kernel
+        # builds the unsolved column uncached and matches the row path.
+        query = local_query(((pred,),))
+        scan_on, meter_on = db.collect_unsolved(query)
+        row_db = RowPathDatabase.view(make_db(mixed_rows()))
+        scan_off, meter_off = row_db.collect_unsolved(query)
+        assert list(scan_on.per_root) == [LOid("DB", "c2"), LOid("DB", "c5")]
+        assert scan_on.per_root == scan_off.per_root
+        assert meter_on.comparisons == meter_off.comparisons
+        assert meter_on.derefs == meter_off.derefs
 
 
 class TestEngineTransparency:
-    """The end-to-end contract through ExecutionOptions."""
-
-    def test_describe_and_with(self):
-        options = ExecutionOptions()
-        assert options.columnar is True
-        assert "columnar=True" in options.describe()
-        assert options.with_(columnar=False).columnar is False
+    """The end-to-end contract: a federation vs its row-path view."""
 
     @pytest.mark.parametrize("name", ["CA", "BL", "PL", "BL-S", "PL-S"])
     def test_q1_answers_and_metrics_identical(self, name):
-        engine = GlobalQueryEngine(build_school_federation())
+        system = build_school_federation()
+        engine = GlobalQueryEngine(system)
         engine.ensure_signatures()
-        on = engine.execute(
-            Q1_TEXT, name, options=engine.options.with_(columnar=True)
-        )
-        off = engine.execute(
-            Q1_TEXT, name, options=engine.options.with_(columnar=False)
-        )
+        on = engine.execute(Q1_TEXT, name)
+        off = GlobalQueryEngine(row_path_view(system)).execute(Q1_TEXT, name)
         assert same_answers(on.results, off.results)
         # Every work counter except cache traffic (the first run pays
         # the decomposition miss) must match exactly.
@@ -368,39 +396,32 @@ class TestEngineTransparency:
         for seed in (11, 23, 47):
             workload = make_workload(seed=seed, scale=0.03)
             engine = GlobalQueryEngine(workload.system)
+            rows = GlobalQueryEngine(row_path_view(workload.system))
             for name in ("CA", "BL", "PL"):
-                on = engine.execute(
-                    workload.query, name,
-                    options=engine.options.with_(columnar=True),
-                )
-                off = engine.execute(
-                    workload.query, name,
-                    options=engine.options.with_(columnar=False),
-                )
+                on = engine.execute(workload.query, name)
+                off = rows.execute(workload.query, name)
                 assert same_answers(on.results, off.results), (seed, name)
                 assert (
                     on.metrics.work.comparisons
                     == off.metrics.work.comparisons
                 ), (seed, name)
 
-    def test_strategy_effective_columnar(self, monkeypatch):
+    def test_strategies_run_the_kernels(self, monkeypatch):
         from helpers import context
         from repro.core.strategies import DEFAULT_REGISTRY
         from repro.sqlx import parse_query
 
-        seen = []
-        real = ComponentDatabase.execute_local
+        declined = []
+        real = ComponentDatabase._execute_local_columnar
 
-        def spy(self, query, *, columnar=True):
-            seen.append(columnar)
-            return real(self, query, columnar=columnar)
+        def spy(self, query):
+            result = real(self, query)
+            declined.append(result is None)
+            return result
 
-        monkeypatch.setattr(ComponentDatabase, "execute_local", spy)
+        monkeypatch.setattr(ComponentDatabase, "_execute_local_columnar", spy)
         strategy = DEFAULT_REGISTRY.create("BL")
-        system = build_school_federation()
-        query = parse_query(Q1_TEXT)
-        strategy.execute(system, query, context(columnar=False))
-        assert seen and not any(seen)
-        seen.clear()
-        strategy.execute(system, query, context())
-        assert seen and all(seen)
+        strategy.execute(
+            build_school_federation(), parse_query(Q1_TEXT), context()
+        )
+        assert declined and not any(declined)

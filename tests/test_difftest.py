@@ -119,6 +119,34 @@ class TestOracle:
         for case in FederationFuzzer(2026).cases(3):
             assert oracle.check(case) == []
 
+    def test_columnar_invariant_catches_a_corrupted_kernel(
+        self, monkeypatch
+    ):
+        """A kernel that turns FALSE check verdicts into UNKNOWN keeps
+        rows the row path eliminates; the row-path view exposes it."""
+        from repro.objectdb.database import ComponentDatabase
+
+        real = ComponentDatabase._check_assistants_columnar
+
+        def corrupted(self, request):
+            report = real(self, request)
+            if report is not None:
+                for predicate, loids in report.violated.items():
+                    report.unknown[predicate] += loids
+                    report.violated[predicate] = ()
+            return report
+
+        monkeypatch.setattr(
+            ComponentDatabase, "_check_assistants_columnar", corrupted
+        )
+        violations = StrategyOracle().check(FuzzCase(seed=11, scale=0.01))
+        flagged = {
+            v.detail.split(":")[0]
+            for v in violations if v.invariant == "columnar"
+        }
+        assert {"BL", "PL"} <= flagged
+        assert "CA" not in flagged
+
     def test_replay_committed_cases_clean(self):
         stream = io.StringIO()
         violations = replay_cases([CASES_DIR], stream=stream)

@@ -120,6 +120,21 @@ class TestIntegrationMechanics:
                 {"DB1": [ghost]},
             )
 
+    def test_non_reference_value_rejected(self, school):
+        from repro.objectdb.objects import LocalObject
+
+        bad = LocalObject(
+            LOid("DB1", "s1"), "Student", {"s-no": 1, "advisor": 42}
+        )
+        with pytest.raises(MappingError) as err:
+            integrate_class(
+                "Student", school.global_schema, school.catalog,
+                {"DB1": [bad]},
+            )
+        assert str(err.value) == (
+            "complex attribute holds non-reference value 42"
+        )
+
     def test_dangling_reference_becomes_null(self, school):
         from repro.objectdb.objects import LocalObject
 
@@ -216,70 +231,3 @@ class TestSiteExports:
         assert SiteExports.coerce(wrapped) is wrapped
         assert isinstance(SiteExports.coerce({"DB1": []}), SiteExports)
 
-
-class TestBatchedMergeParity:
-    """columnar=True picks the batched group-major merge; its objects,
-    stats and errors must be identical to the per-object path."""
-
-    def integrate_both(self, school, exports, stats_pair=None):
-        results = []
-        for columnar in (True, False):
-            stats = IntegrationStats()
-            integrated = integrate_class(
-                "Student", school.global_schema, school.catalog,
-                exports, stats, columnar=columnar,
-            )
-            results.append((integrated, stats))
-        if stats_pair is not None:
-            stats_pair.extend(s for _, s in results)
-        return results[0][0], results[1][0]
-
-    def test_school_objects_identical(self, school):
-        exports = full_exports(school, ("Student",))["Student"]
-        stats_pair = []
-        batched, rowwise = self.integrate_both(school, exports, stats_pair)
-        assert set(batched) == set(rowwise)
-        for goid in batched:
-            left, right = batched[goid], rowwise[goid]
-            assert left.values == right.values
-            assert left.sources == right.sources
-            assert left.class_name == right.class_name
-        on, off = stats_pair
-        assert (on.objects_in, on.objects_out, on.comparisons,
-                on.translations) == (
-            off.objects_in, off.objects_out, off.comparisons,
-            off.translations,
-        )
-
-    def test_non_reference_value_raises_identically(self, school):
-        from repro.objectdb.objects import LocalObject
-
-        bad = LocalObject(
-            LOid("DB1", "s1"), "Student", {"s-no": 1, "advisor": 42}
-        )
-        messages = []
-        for columnar in (True, False):
-            with pytest.raises(MappingError) as err:
-                integrate_class(
-                    "Student", school.global_schema, school.catalog,
-                    {"DB1": [bad]}, columnar=columnar,
-                )
-            messages.append(str(err.value))
-        assert messages[0] == messages[1]
-
-    def test_materialize_columnar_flag(self, school):
-        classes = ("Student", "Teacher", "Department", "Address")
-        exports = full_exports(school, classes)
-        on = materialize(
-            classes, school.global_schema, school.catalog, exports,
-            columnar=True,
-        )
-        off = materialize(
-            classes, school.global_schema, school.catalog, exports,
-            columnar=False,
-        )
-        for class_name in classes:
-            left, right = on.extent(class_name), off.extent(class_name)
-            assert set(left) == set(right)
-            for goid in left:
-                assert left[goid].values == right[goid].values
