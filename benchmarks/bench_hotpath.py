@@ -25,7 +25,11 @@ contracts:
 * a repeated query hits the caches (warm hit rate > 0);
 * warm local evaluation over the columnar kernels is at least 5x faster
   than the row path at the sweep's largest grid cell (the
-  ``local_eval`` section records the wall-clock for every cell).
+  ``local_eval`` section records the wall-clock for every cell);
+* CA's step CA_G3 on the columnar kernel reproduces its per-object
+  reference (:func:`repro.difftest.rowpath.evaluate_global_extent_rows`)
+  answer and meter on the same materialized extent, and is at least 2x
+  faster at the largest grid cell (the ``global_eval`` section).
 
 Runs standalone; CI runs the quick grid and diffs against the committed
 baseline::
@@ -34,8 +38,9 @@ baseline::
         --json BENCH_hotpath.json --check benchmarks/results/BENCH_hotpath.json
 
 The JSON output is fully determined by the grid: no timestamps and no
-dict-order dependence.  ``wall_s`` fields and the ``local_eval`` timing
-section are informational only and are ignored by ``--check``.
+dict-order dependence.  ``wall_s`` fields and the ``local_eval`` and
+``global_eval`` timing sections are informational only and are ignored
+by ``--check``.
 """
 
 from __future__ import annotations
@@ -57,7 +62,16 @@ from bench_common import make_workload, write_result
 
 from repro.bench.reporting import format_table
 from repro.core.engine import GlobalQueryEngine
-from repro.difftest.rowpath import RowPathDatabase, row_path_view
+from repro.core.predicates import EvalMeter
+from repro.core.strategies.centralized import (
+    evaluate_global_extent,
+    materialize_query,
+)
+from repro.difftest.rowpath import (
+    RowPathDatabase,
+    evaluate_global_extent_rows,
+    row_path_view,
+)
 
 SCHEMA = "BENCH_hotpath/v2"
 STRATEGIES = ("CA", "BL", "PL", "BL-S", "PL-S")
@@ -91,6 +105,10 @@ CHECKED_FIELDS = (
 #: Minimum warm local-eval speedup (columnar vs row path) the sweep's
 #: largest grid cell must reach.
 MIN_COLUMNAR_SPEEDUP = 5.0
+
+#: Minimum warm CA_G3 speedup (kernel vs per-object reference) the
+#: sweep's largest grid cell must reach.
+MIN_GLOBAL_SPEEDUP = 2.0
 
 
 def _digest(report) -> str:
@@ -203,31 +221,77 @@ def measure_local_eval(n_db: int, scale: float, reps: int = 3) -> dict:
     }
 
 
+def measure_global_eval(n_db: int, scale: float, reps: int = 5) -> dict:
+    """Warm CA_G3 wall-clock: the columnar kernel vs its reference.
+
+    Materializes the workload query's global extent once (CA's steps
+    CA_C1 and CA_G2, fault-free), checks that the kernel and the
+    per-object reference agree on it (answer and meter), then times
+    each on that same extent, best of *reps* after one warm-up call.
+    """
+    workload = make_workload(WORKLOAD_SEEDS[n_db], scale, n_dbs=n_db)
+    query = workload.query
+    extent = materialize_query(workload.system, query)
+    label = f"ndb{n_db}-scale{scale:g}"
+    timings = {}
+    outputs = {}
+    for name, evaluate in (
+        ("kernel", evaluate_global_extent),
+        ("row", evaluate_global_extent_rows),
+    ):
+        meter = EvalMeter()
+        outputs[name] = (evaluate(query, extent, meter).to_dicts(), meter)
+        best = float("inf")
+        for _ in range(reps):
+            start = time.perf_counter()
+            evaluate(query, extent)
+            best = min(best, time.perf_counter() - start)
+        timings[name] = best
+    if outputs["kernel"] != outputs["row"]:
+        raise AssertionError(
+            f"{label}: CA_G3 kernel and per-object reference differ"
+        )
+    return {
+        "workload": label,
+        "n_db": n_db,
+        "scale": scale,
+        "kernel_wall_s": round(timings["kernel"], 6),
+        "row_wall_s": round(timings["row"], 6),
+        "speedup": round(timings["row"] / timings["kernel"], 2),
+    }
+
+
 def sweep(grid) -> dict:
     cells = []
     for n_db, scale in grid:
         for strategy in STRATEGIES:
             cells.append(run_cell(n_db, scale, strategy))
     local_eval = [measure_local_eval(n_db, scale) for n_db, scale in grid]
-    _assert_contract(cells, local_eval)
+    global_eval = [measure_global_eval(n_db, scale) for n_db, scale in grid]
+    _assert_contract(cells, local_eval, global_eval)
     return {
         "schema": SCHEMA,
         "seeds": {str(k): v for k, v in sorted(WORKLOAD_SEEDS.items())},
         "grid": [{"n_db": n, "scale": s} for n, s in grid],
         "cells": cells,
         "local_eval": local_eval,
+        "global_eval": global_eval,
     }
 
 
-def _assert_contract(cells, local_eval) -> None:
+def _assert_contract(cells, local_eval, global_eval) -> None:
     """Aggregate guarantees the per-cell checks cannot express."""
-    largest = max(local_eval, key=lambda e: (e["n_db"], e["scale"]))
-    if largest["speedup"] < MIN_COLUMNAR_SPEEDUP:
-        raise AssertionError(
-            f"{largest['workload']}: columnar local eval only "
-            f"{largest['speedup']}x faster than the row path "
-            f"(contract: >= {MIN_COLUMNAR_SPEEDUP}x at the largest cell)"
-        )
+    for timings, floor, what in (
+        (local_eval, MIN_COLUMNAR_SPEEDUP, "columnar local eval"),
+        (global_eval, MIN_GLOBAL_SPEEDUP, "CA_G3 kernel"),
+    ):
+        largest = max(timings, key=lambda e: (e["n_db"], e["scale"]))
+        if largest["speedup"] < floor:
+            raise AssertionError(
+                f"{largest['workload']}: {what} only "
+                f"{largest['speedup']}x faster than the row path "
+                f"(contract: >= {floor}x at the largest cell)"
+            )
     for strategy in LOCALIZED:
         batched = sum(
             c["messages_batched"] for c in cells
@@ -299,10 +363,18 @@ def render(result: dict) -> str:
          f"{e['row_wall_s']:.4f}", f"{e['speedup']:.1f}x"]
         for e in result["local_eval"]
     ]
+    global_headers = ["workload", "kernel (s)", "row path (s)", "speedup"]
+    global_rows = [
+        [e["workload"], f"{e['kernel_wall_s']:.4f}",
+         f"{e['row_wall_s']:.4f}", f"{e['speedup']:.1f}x"]
+        for e in result["global_eval"]
+    ]
     return (
         text
         + "\n\nwarm local evaluation (columnar kernels vs row path):\n"
         + format_table(eval_headers, eval_rows)
+        + "\n\nwarm CA_G3 evaluation (columnar kernel vs row path):\n"
+        + format_table(global_headers, global_rows)
     )
 
 

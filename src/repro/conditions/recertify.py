@@ -421,15 +421,14 @@ class ReCertifier:
     # -- centralized (CA) repair ---------------------------------------
 
     def _repair_centralized(self, state: CentralizedRepairState):
-        from repro.core.decompose import attributes_needed
         from repro.core.strategies.centralized import (
             demote_outerjoin_incomplete,
             evaluate_global_extent,
+            export_site,
         )
         from repro.integration.outerjoin import materialize
 
         system = self.system
-        schema = system.global_schema
         exports = {
             cls: dict(by_site)
             for cls, by_site in state.exports_by_class.items()
@@ -441,31 +440,18 @@ class ReCertifier:
             if self.state.site_status(site) is not TV.TRUE:
                 still_down.append(site)
                 continue
-            db = system.db(site)
-            shipped = False
-            for global_class in state.involved_classes:
-                local_class = schema.constituent_class(site, global_class)
-                if local_class is None:
-                    continue
-                needed = attributes_needed(
-                    state.query, schema, global_class
-                )
-                local_needed = tuple(
-                    a
-                    for a in needed
-                    if db.schema.cls(local_class).has_attribute(a)
-                )
-                exports.setdefault(global_class, {})[site] = (
-                    db.scan_for_export(local_class, local_needed)
-                )
-                shipped = True
+            shipped = export_site(
+                system, site, state.query, state.involved_classes
+            )
+            for global_class, _, objs in shipped:
+                exports.setdefault(global_class, {})[site] = objs
             if shipped:
                 contacted.append(site)
                 messages += 2
 
         extent = materialize(
             state.involved_classes,
-            schema,
+            system.global_schema,
             system.catalog,
             exports,
         )

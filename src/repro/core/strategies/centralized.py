@@ -10,19 +10,29 @@ step CA_G3).
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from operator import attrgetter
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.conditions.algebra import NullAttr, SiteDown, attach
 from repro.conditions.reasons import DegradationReason
 from repro.core.decompose import attributes_needed
-from repro.core.predicates import EvalMeter, evaluate_dnf, walk_path
-from repro.core.query import Query
+from repro.core.predicates import EvalMeter
+from repro.core.query import Predicate, Query
 from repro.core.results import GlobalResult, ResultKind, ResultSet
 from repro.core.strategies.base import Strategy, StrategyResult, fault_wait_chain
 from repro.core.system import DistributedSystem
-from repro.core.tvl import TV
 from repro.faults.injector import ExecutionContext
-from repro.integration.outerjoin import IntegrationStats, materialize
+from repro.integration.outerjoin import (
+    GlobalExtent,
+    IntegrationStats,
+    materialize,
+)
+from repro.objectdb.columnar import (
+    FALSE_CODE,
+    TRUE_CODE,
+    UNKNOWN_CODE,
+    ColumnarRows,
+)
 from repro.objectdb.objects import LocalObject
 from repro.objectdb.values import NULL
 from repro.obs.spans import TraceEvent
@@ -30,9 +40,60 @@ from repro.sim.metrics import ExecutionMetrics, WorkCounters
 from repro.sim.taskgraph import PHASE_I, PHASE_P, PHASE_SCAN
 
 
+def export_site(
+    system: DistributedSystem,
+    db_name: str,
+    query: Query,
+    involved_classes: Sequence[str],
+) -> List[Tuple[str, int, List[LocalObject]]]:
+    """Step CA_C1 at one site: retrieve and project its extents.
+
+    One ``(global class, projected attribute count, objects)`` entry per
+    involved class the site holds a constituent of, each extent
+    projected on the LOid and the attributes the query involves.
+    """
+    db = system.db(db_name)
+    shipped = []
+    for global_class in involved_classes:
+        local_class = system.global_schema.constituent_class(
+            db_name, global_class
+        )
+        if local_class is None:
+            continue
+        needed = attributes_needed(query, system.global_schema, global_class)
+        local_cls = db.schema.cls(local_class)
+        local_needed = tuple(a for a in needed if local_cls.has_attribute(a))
+        shipped.append((
+            global_class,
+            len(local_needed),
+            db.scan_for_export(local_class, local_needed),
+        ))
+    return shipped
+
+
+def materialize_query(system: DistributedSystem, query: Query) -> GlobalExtent:
+    """Steps CA_C1 and CA_G2 with every site reachable.
+
+    The global extent a fault-free CA execution evaluates in CA_G3;
+    the oracle and the hot-path bench evaluate it on the kernel and on
+    the per-object reference side by side.
+    """
+    schema = system.global_schema
+    involved = (query.range_class,) + query.branch_classes(schema.schema)
+    exports: Dict[str, Dict[str, List[LocalObject]]] = {
+        cls: {} for cls in involved
+    }
+    for db_name in system.databases:
+        for global_class, _, objs in export_site(
+            system, db_name, query, involved
+        ):
+            exports[global_class][db_name] = objs
+    return materialize(involved, schema, system.catalog, exports)
+
+
 def evaluate_global_extent(
     query: Query,
-    extent,
+    extent: GlobalExtent,
     meter: Optional[EvalMeter] = None,
     conditions: bool = True,
 ) -> ResultSet:
@@ -43,41 +104,127 @@ def evaluate_global_extent(
     and calls this again — no site re-evaluates anything.  With
     *conditions*, maybe rows carry ``NullAttr`` atoms (site ``""``: the
     null was observed on the fused global object, not at one site).
+
+    Runs on the shared columnar kernels: one uncached
+    :class:`~repro.objectdb.columnar.ColumnarRows` view whose rows are
+    the range class's objects in GOid order.  Rows, ``NullAttr`` atoms,
+    *meter* charges and the exception raised (the first failing row and
+    predicate, in GOid order) are exactly those of the per-object
+    reference, :func:`repro.difftest.rowpath.evaluate_global_extent_rows`.
     """
     meter = meter if meter is not None else EvalMeter()
     results = ResultSet(targets=query.targets)
-    for goid in sorted(
-        extent.extent(query.range_class), key=lambda g: g.value
-    ):
-        obj = extent.extent(query.range_class)[goid]
-        outcome = evaluate_dnf(obj, query.where, extent.deref, meter)
-        if outcome.tv is TV.FALSE:
+    ordered = sorted(
+        extent.extent(query.range_class).items(),
+        key=lambda item: item[0].value,
+    )
+    goids = [goid for goid, _ in ordered]
+    goid_of = attrgetter("goid")
+    view = ColumnarRows([obj for _, obj in ordered], extent.deref, goid_of)
+    summary = view.dnf_summary(query.where)
+    codes = summary.codes
+    # Like the reference, walk the targets only on rows that are not
+    # FALSE: a second view over just those rows.
+    kept = [row for row, code in enumerate(codes) if code != FALSE_CODE]
+    survivors = ColumnarRows(
+        [view.objects[row] for row in kept], extent.deref, goid_of
+    )
+    targets = query.targets
+    walks = [survivors.walk(target) for target in targets]
+    _raise_first_error(query, view, summary, kept, walks)
+
+    # The reference charges every (conjunct, predicate) occurrence on
+    # every row, and the target walks on the kept rows.
+    meter.comparisons += sum(summary.comparisons)
+    meter.derefs += sum(summary.derefs) + sum(sum(w.derefs) for w in walks)
+
+    distinct: List[Predicate] = []
+    for conjunct in query.where:
+        for predicate in conjunct:
+            if predicate not in distinct:
+                distinct.append(predicate)
+    pcodes = [view.predicate_column(p).codes for p in distinct]
+    members = [[distinct.index(p) for p in conj] for conj in query.where]
+    # A maybe row's unsolved predicates depend only on its predicate
+    # codes: derive them (and their NullAttr labels) once per pattern.
+    unsolved_of: Dict[
+        Tuple[int, ...], Tuple[Tuple[Predicate, ...], Tuple[str, ...]]
+    ] = {}
+    for index, row in enumerate(kept):
+        code = codes[row]
+        goid = goids[row]
+        bindings = {
+            target: NULL if w.miss[index] is not None else w.values[index]
+            for target, w in zip(targets, walks)
+        }
+        if code == TRUE_CODE:
+            results.add(GlobalResult(
+                goid=goid, kind=ResultKind.CERTAIN, bindings=bindings
+            ))
             continue
-        bindings = {}
-        for target in query.targets:
-            walk = walk_path(obj, target, extent.deref, meter)
-            bindings[target] = NULL if walk.is_missing else walk.value
-        if outcome.tv is TV.TRUE:
-            results.add(
-                GlobalResult(
-                    goid=goid, kind=ResultKind.CERTAIN, bindings=bindings
-                )
-            )
-        else:
-            unsolved = tuple(o.predicate for o in outcome.unsolved)
-            result = GlobalResult(
-                goid=goid,
-                kind=ResultKind.MAYBE,
-                bindings=bindings,
-                unsolved=unsolved,
-            )
-            if conditions:
-                attach(result, *(
-                    NullAttr(site="", goid=goid, attr=str(p))
-                    for p in unsolved
-                ))
-            results.add(result)
+        pattern = tuple(column[row] for column in pcodes)
+        found = unsolved_of.get(pattern)
+        if found is None:
+            found = _unsolved(pattern, members, distinct)
+            unsolved_of[pattern] = found
+        unsolved, labels = found
+        result = GlobalResult(
+            goid=goid,
+            kind=ResultKind.MAYBE,
+            bindings=bindings,
+            unsolved=unsolved,
+        )
+        if conditions:
+            attach(result, *(
+                NullAttr(site="", goid=goid, attr=label) for label in labels
+            ))
+        results.add(result)
     return results
+
+
+def _unsolved(
+    pattern: Tuple[int, ...],
+    members: List[List[int]],
+    distinct: List[Predicate],
+) -> Tuple[Tuple[Predicate, ...], Tuple[str, ...]]:
+    """``DnfOutcome.unsolved`` of a row whose predicate codes are *pattern*.
+
+    The UNKNOWN predicates of the UNKNOWN disjuncts, first occurrence
+    first; *members* lists each disjunct's indexes into *distinct*.
+    """
+    picked: List[int] = []
+    for conjunct in members:
+        codes = [pattern[i] for i in conjunct]
+        if min(codes, default=TRUE_CODE) == UNKNOWN_CODE:
+            for i in conjunct:
+                if pattern[i] == UNKNOWN_CODE and i not in picked:
+                    picked.append(i)
+    unsolved = tuple(distinct[i] for i in picked)
+    return unsolved, tuple(str(p) for p in unsolved)
+
+
+def _raise_first_error(query: Query, view, summary, kept, walks) -> None:
+    """Raise what the per-object evaluator would raise first, if anything.
+
+    It evaluates row by row in GOid order: every predicate of every
+    conjunct, then — on a row that is not FALSE (``kept``; *walks* are
+    indexed by position in it) — every target walk.
+    """
+    failing = set(summary.error_rows)
+    for walk in walks:
+        failing.update(kept[index] for index in walk.errors)
+    if not failing:
+        return
+    row = min(failing)
+    for conjunct in query.where:
+        for predicate in conjunct:
+            errors = view.predicate_column(predicate).errors
+            if row in errors:
+                raise errors[row]
+    index = kept.index(row)
+    for walk in walks:
+        if index in walk.errors:
+            raise walk.errors[index]
 
 
 def demote_outerjoin_incomplete(
@@ -138,7 +285,7 @@ class CentralizedStrategy(Strategy):
             cls: {} for cls in involved_classes
         }
         ship_nodes = []
-        for db_name, db in system.databases.items():
+        for db_name in system.databases:
             negotiation = ctx.contact(system.global_site, db_name)
             entry_deps = fault_wait_chain(fed, ctx, negotiation, fault_events)
             if not negotiation.ok:
@@ -156,27 +303,11 @@ class CentralizedStrategy(Strategy):
                 continue
             site_bytes = 0
             site_objects = 0
-            shipped: List[Tuple[str, List[LocalObject]]] = []
-            for global_class in involved_classes:
-                local_class = system.global_schema.constituent_class(
-                    db_name, global_class
-                )
-                if local_class is None:
-                    continue
-                needed = attributes_needed(
-                    query, system.global_schema, global_class
-                )
-                local_needed = tuple(
-                    a
-                    for a in needed
-                    if db.schema.cls(local_class).has_attribute(a)
-                )
-                objs = db.scan_for_export(local_class, local_needed)
+            shipped = export_site(system, db_name, query, involved_classes)
+            for global_class, n_attrs, objs in shipped:
                 exports_by_class[global_class][db_name] = objs
-                obj_bytes = cost.object_bytes(len(local_needed))
-                site_bytes += len(objs) * obj_bytes
+                site_bytes += len(objs) * cost.object_bytes(n_attrs)
                 site_objects += len(objs)
-                shipped.append((global_class, objs))
             if not shipped:
                 continue
             work.objects_scanned += site_objects

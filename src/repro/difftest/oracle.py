@@ -19,7 +19,11 @@ reproduce.  What it checks:
     assistant checks), re-running on the federation's row-path view
     (:func:`repro.difftest.rowpath.row_path_view`) yields an answer
     strictly equal to the kernel run's — the transparency contract.
-    CA is exempt: it only scans whole extents for export.
+    CA reaches no database kernel; its CA_G3 kernel is held to the same
+    contract instead: the per-object reference
+    (:func:`repro.difftest.rowpath.evaluate_global_extent_rows`) over
+    the fault-free materialized extent must reproduce CA's answer, and
+    its meter the kernel's comparison and deref charges.
 ``planner``
     For the :attr:`StrategyOracle.PLANNER_MATRIX` pairs, running with
     an adaptive planner mode (constraint pruning, trace feedback, or
@@ -71,6 +75,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from repro.core.engine import GlobalQueryEngine
+from repro.core.predicates import EvalMeter
 from repro.core.results import (
     ResultSet,
     _answer_key,
@@ -78,9 +83,13 @@ from repro.core.results import (
     same_answers,
 )
 from repro.core.strategies import DEFAULT_REGISTRY
+from repro.core.strategies.centralized import (
+    evaluate_global_extent,
+    materialize_query,
+)
 from repro.core.system import DistributedSystem
 from repro.difftest.cases import FuzzCase
-from repro.difftest.rowpath import row_path_view
+from repro.difftest.rowpath import evaluate_global_extent_rows, row_path_view
 from repro.objectdb.ids import GOid
 from repro.objectdb.values import is_null
 
@@ -89,9 +98,9 @@ FAULT_POLICY = "degrade"
 
 #: Invariants a strategy is exempt from because the flipped setting
 #: cannot reach its execution: CA ships whole extents, so it never
-#: dispatches checks (``batching``), never runs a database kernel
-#: (``columnar``), and neither prunes nor predicts (``planner``).
-EXEMPT = {"CA": frozenset({"batching", "columnar", "planner"})}
+#: dispatches checks (``batching``) and neither prunes nor predicts
+#: (``planner``).
+EXEMPT = {"CA": frozenset({"batching", "planner"})}
 
 
 @dataclass(frozen=True)
@@ -111,6 +120,10 @@ def answer_digest(results: ResultSet) -> str:
     """Stable content hash of an answer (first 12 hex chars)."""
     payload = json.dumps(results.to_dicts(), sort_keys=True)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
+
+
+def _conditions(results: ResultSet) -> list:
+    return [(r.goid, r.conditions) for r in results.all_results()]
 
 
 def case_digest(case: FuzzCase) -> str:
@@ -244,11 +257,12 @@ class StrategyOracle:
         """The row path must reproduce every kernel answer.
 
         The transparency contract of the columnar extent kernels: batch
-        3VL local evaluation, the missing-data scan and batched
-        assistant checks must reproduce the per-object row path byte
-        for byte.  Each non-exempt strategy is re-run on the
+        3VL local evaluation, the missing-data scan, batched assistant
+        checks and CA_G3 must reproduce the per-object row path byte
+        for byte.  Each non-exempt localized strategy is re-run on the
         federation's row-path view with the same options and compared
-        strictly against its kernel answer.
+        strictly against its kernel answer; CA is checked step by step
+        (:meth:`_check_global_kernel`).
         """
         violations = []
         rows = GlobalQueryEngine(row_path_view(built.system)).session(
@@ -256,6 +270,11 @@ class StrategyOracle:
         )
         for name in self.strategy_names:
             if "columnar" in EXEMPT.get(name, ()):
+                continue
+            if name == "CA":
+                violations.extend(self._check_global_kernel(
+                    case, session, built, answers[name]
+                ))
                 continue
             other = rows.execute(built.query, name).results
             if not same_answers(answers[name], other):
@@ -265,6 +284,45 @@ class StrategyOracle:
                     f"{_first_difference(answers[name], other)}",
                     case,
                 ))
+        return violations
+
+    def _check_global_kernel(self, case, session, built, answer):
+        """CA_G3 on the kernel vs the per-object reference.
+
+        Both evaluate the fault-free materialized extent: the reference
+        answer must equal CA's, its ``NullAttr`` conditions the kernel's
+        row by row, and its meter the kernel's charges.
+        """
+        extent = materialize_query(built.system, built.query)
+        conditions = session.options.conditions
+        kernel_meter, row_meter = EvalMeter(), EvalMeter()
+        kernel = evaluate_global_extent(
+            built.query, extent, kernel_meter, conditions
+        ).sort()
+        rows = evaluate_global_extent_rows(
+            built.query, extent, row_meter, conditions
+        ).sort()
+        violations = []
+        if not same_answers(answer, rows):
+            violations.append(Violation(
+                "columnar", case.label,
+                f"CA: CA_G3 kernel vs row path: "
+                f"{_first_difference(answer, rows)}",
+                case,
+            ))
+        elif _conditions(kernel) != _conditions(rows):
+            violations.append(Violation(
+                "columnar", case.label,
+                "CA: CA_G3 kernel vs row path: row conditions differ",
+                case,
+            ))
+        if kernel_meter != row_meter:
+            violations.append(Violation(
+                "columnar", case.label,
+                f"CA: CA_G3 kernel meter {kernel_meter} vs row path "
+                f"{row_meter}",
+                case,
+            ))
         return violations
 
     #: (strategy, planner mode) pairs exercised by the planner invariant.

@@ -787,7 +787,7 @@ class ComponentDatabase:
         row_of = col.row_of
         for loid in request.loids:
             r = row_of.get(loid)
-            if r is not None and any(r in pcol.error_rows for pcol in pcols):
+            if r is not None and any(r in pcol.errors for pcol in pcols):
                 return None
         return self._check_objects(request, row_of, pcols)
 

@@ -80,11 +80,34 @@ class TestBadInput:
           "--policy", "fail-fast", Q1_TEXT],
          "error: site 'DB1' unavailable after 1 attempt(s) (down); "
          "policy is fail-fast"),
-    ], ids=["syntax", "unknown-class", "unavailable"])
+        # CA_G3's kernel raises the per-object evaluator's error: John
+        # is the first Student in GOid order.
+        (["query", "--strategy", "CA",
+          "Select X.name From Student X Where X.name < 5"],
+         "error: cannot order-compare 'John' with 5"),
+    ], ids=["syntax", "unknown-class", "unavailable", "ca-order-compare"])
     def test_error_line_and_exit_2(self, capsys, argv, message):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err == message + "\n"
+        assert "Traceback" not in captured.out + captured.err
+
+    @pytest.mark.parametrize("argv", [
+        ["query", "--trace", "{missing}/t.json", Q1_TEXT],
+        ["query", "--jsonl", "{missing}/t.jsonl", Q1_TEXT],
+        ["explain", "--trace", "{missing}/t.json", Q1_TEXT],
+        ["compare", "--scale", "0.02", "--trace-dir", "{file}"],
+    ], ids=["query-trace", "query-jsonl", "explain-trace", "compare-trace-dir"])
+    def test_unwritable_output_path(self, capsys, tmp_path, argv):
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory")
+        paths = {"missing": tmp_path / "missing", "file": blocker}
+        argv = [arg.format(**paths) for arg in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert str(tmp_path) in captured.err
+        assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.out + captured.err
 
 

@@ -39,6 +39,7 @@ from repro.objectdb.values import MultiValue, NULL
 from repro.workload.paper_example import Q1_TEXT, build_school_federation
 
 ALL_OPS = (Op.EQ, Op.NE, Op.LT, Op.LE, Op.GT, Op.GE)
+ORDERED_OPS = (Op.LT, Op.LE, Op.GT, Op.GE)
 
 
 def make_db(rows=()):
@@ -198,15 +199,27 @@ class TestColumnarExtentKernels:
     ] + [
         pytest.param(Path.of("tags"), Op.CONTAINS, id="tags-contains"),
         pytest.param(Path.of("ref", "x"), Op.EQ, id="ref.x-="),
+    ] + [
+        pytest.param(Path.of(attr), op, id=f"{attr}-{op}")
+        for attr in ("b", "tags") for op in ORDERED_OPS
+    ] + [
+        pytest.param(Path.of("ref", "x"), op, id=f"ref.x-{op}")
+        for op in ORDERED_OPS
     ])
     def test_mixed_nulls_match_row_path_per_object(self, path, op):
-        db = make_db(mixed_rows())
+        # c6 cannot be order-compared with the operand on a or b.
+        db = make_db(mixed_rows() + [("c6", {"a": "z", "b": 2})])
         pred = Predicate(path=path, op=op, operand=1)
         col = db.columnar_extent("C")
         pcol = col.predicate_column(pred)
         for row, obj in enumerate(col.objects):
             meter = EvalMeter()
-            expected = evaluate_predicate(obj, pred, db.deref, meter)
+            try:
+                expected = evaluate_predicate(obj, pred, db.deref, meter)
+            except QueryError as exc:
+                assert str(pcol.errors[row]) == str(exc)
+                continue
+            assert row not in pcol.errors
             assert TV_OF_CODE[pcol.codes[row]] is expected.tv, (
                 f"{op} row {row} ({obj.loid})"
             )

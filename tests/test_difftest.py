@@ -147,6 +147,39 @@ class TestOracle:
         assert {"BL", "PL"} <= flagged
         assert "CA" not in flagged
 
+    @pytest.mark.parametrize("corruption", ["verdicts", "charges"])
+    def test_columnar_invariant_catches_a_corrupted_global_kernel(
+        self, monkeypatch, corruption
+    ):
+        """CA_G3's kernel is held to its per-object reference: FALSE
+        verdicts turned UNKNOWN change CA's answer, and an inflated
+        comparison charge changes only the meter; both are flagged."""
+        from repro.objectdb.columnar import ColumnarExtent, ColumnarRows
+
+        real = ColumnarRows._build_dnf
+
+        def corrupted(self, where):
+            summary = real(self, where)
+            if summary is not None and not isinstance(self, ColumnarExtent):
+                if corruption == "verdicts":
+                    summary.codes = [max(code, 1) for code in summary.codes]
+                else:
+                    summary.comparisons = [
+                        c + 1 for c in summary.comparisons
+                    ]
+            return summary
+
+        monkeypatch.setattr(ColumnarRows, "_build_dnf", corrupted)
+        violations = StrategyOracle().check(FuzzCase(seed=11, scale=0.01))
+        flagged = [
+            v.detail for v in violations
+            if v.invariant == "columnar"
+        ]
+        assert flagged
+        assert all(detail.startswith("CA: CA_G3 kernel") for detail in flagged)
+        if corruption == "charges":
+            assert all("meter" in detail for detail in flagged)
+
     def test_replay_committed_cases_clean(self):
         stream = io.StringIO()
         violations = replay_cases([CASES_DIR], stream=stream)
