@@ -29,7 +29,11 @@ contracts:
 * CA's step CA_G3 on the columnar kernel reproduces its per-object
   reference (:func:`repro.difftest.rowpath.evaluate_global_extent_rows`)
   answer and meter on the same materialized extent, and is at least 2x
-  faster at the largest grid cell (the ``global_eval`` section).
+  faster at the largest grid cell (the ``global_eval`` section);
+* CA's step CA_G2 merging the sites' column slices reproduces its
+  per-object reference (:func:`repro.difftest.rowpath.materialize_rows`)
+  extent and ``IntegrationStats`` on the same exports, and is at least
+  1.3x faster at the largest grid cell (the ``outerjoin`` section).
 
 Runs standalone; CI runs the quick grid and diffs against the committed
 baseline::
@@ -38,9 +42,9 @@ baseline::
         --json BENCH_hotpath.json --check benchmarks/results/BENCH_hotpath.json
 
 The JSON output is fully determined by the grid: no timestamps and no
-dict-order dependence.  ``wall_s`` fields and the ``local_eval`` and
-``global_eval`` timing sections are informational only and are ignored
-by ``--check``.
+dict-order dependence.  ``wall_s`` fields and the ``local_eval``,
+``global_eval`` and ``outerjoin`` timing sections are informational
+only and are ignored by ``--check``.
 """
 
 from __future__ import annotations
@@ -65,13 +69,17 @@ from repro.core.engine import GlobalQueryEngine
 from repro.core.predicates import EvalMeter
 from repro.core.strategies.centralized import (
     evaluate_global_extent,
+    export_site,
     materialize_query,
 )
 from repro.difftest.rowpath import (
     RowPathDatabase,
     evaluate_global_extent_rows,
+    export_rows,
+    materialize_rows,
     row_path_view,
 )
+from repro.integration.outerjoin import IntegrationStats, materialize
 
 SCHEMA = "BENCH_hotpath/v2"
 STRATEGIES = ("CA", "BL", "PL", "BL-S", "PL-S")
@@ -109,6 +117,10 @@ MIN_COLUMNAR_SPEEDUP = 5.0
 #: Minimum warm CA_G3 speedup (kernel vs per-object reference) the
 #: sweep's largest grid cell must reach.
 MIN_GLOBAL_SPEEDUP = 2.0
+
+#: Minimum CA_G2 speedup (column merge vs per-object reference) the
+#: sweep's largest grid cell must reach.
+MIN_OUTERJOIN_SPEEDUP = 1.3
 
 
 def _digest(report) -> str:
@@ -261,6 +273,60 @@ def measure_global_eval(n_db: int, scale: float, reps: int = 5) -> dict:
     }
 
 
+def measure_outerjoin(n_db: int, scale: float, reps: int = 5) -> dict:
+    """Warm CA_G2 wall-clock: the column merge vs its reference.
+
+    Ships the workload query's exports once per path (fault-free
+    CA_C1: each site's column slices, and per-object projected copies
+    of the same extents), checks that both merges build the same
+    extent and ``IntegrationStats``, then times each on its own
+    exports, best of *reps* after one warm-up call.
+    """
+    workload = make_workload(WORKLOAD_SEEDS[n_db], scale, n_dbs=n_db)
+    system, query = workload.system, workload.query
+    rows = export_rows(system, query)
+    involved = tuple(rows)
+    slices = {cls: {} for cls in involved}
+    for db_name in system.databases:
+        for global_class, _, piece in export_site(
+            system, db_name, query, involved
+        ):
+            slices[global_class][db_name] = piece
+    label = f"ndb{n_db}-scale{scale:g}"
+    timings = {}
+    outputs = {}
+    for name, merge, exports in (
+        ("kernel", materialize, slices),
+        ("row", materialize_rows, rows),
+    ):
+        args = (involved, system.global_schema, system.catalog, exports)
+        stats = IntegrationStats()
+        extent = merge(*args, stats)
+        outputs[name] = (
+            [(cls, list(extent.extent(cls).items()))
+             for cls in extent.classes()],
+            stats,
+        )
+        best = float("inf")
+        for _ in range(reps):
+            start = time.perf_counter()
+            merge(*args)
+            best = min(best, time.perf_counter() - start)
+        timings[name] = best
+    if outputs["kernel"] != outputs["row"]:
+        raise AssertionError(
+            f"{label}: CA_G2 column merge and per-object reference differ"
+        )
+    return {
+        "workload": label,
+        "n_db": n_db,
+        "scale": scale,
+        "kernel_wall_s": round(timings["kernel"], 6),
+        "row_wall_s": round(timings["row"], 6),
+        "speedup": round(timings["row"] / timings["kernel"], 2),
+    }
+
+
 def sweep(grid) -> dict:
     cells = []
     for n_db, scale in grid:
@@ -268,7 +334,8 @@ def sweep(grid) -> dict:
             cells.append(run_cell(n_db, scale, strategy))
     local_eval = [measure_local_eval(n_db, scale) for n_db, scale in grid]
     global_eval = [measure_global_eval(n_db, scale) for n_db, scale in grid]
-    _assert_contract(cells, local_eval, global_eval)
+    outerjoin = [measure_outerjoin(n_db, scale) for n_db, scale in grid]
+    _assert_contract(cells, local_eval, global_eval, outerjoin)
     return {
         "schema": SCHEMA,
         "seeds": {str(k): v for k, v in sorted(WORKLOAD_SEEDS.items())},
@@ -276,14 +343,16 @@ def sweep(grid) -> dict:
         "cells": cells,
         "local_eval": local_eval,
         "global_eval": global_eval,
+        "outerjoin": outerjoin,
     }
 
 
-def _assert_contract(cells, local_eval, global_eval) -> None:
+def _assert_contract(cells, local_eval, global_eval, outerjoin) -> None:
     """Aggregate guarantees the per-cell checks cannot express."""
     for timings, floor, what in (
         (local_eval, MIN_COLUMNAR_SPEEDUP, "columnar local eval"),
         (global_eval, MIN_GLOBAL_SPEEDUP, "CA_G3 kernel"),
+        (outerjoin, MIN_OUTERJOIN_SPEEDUP, "CA_G2 column merge"),
     ):
         largest = max(timings, key=lambda e: (e["n_db"], e["scale"]))
         if largest["speedup"] < floor:
@@ -363,18 +432,23 @@ def render(result: dict) -> str:
          f"{e['row_wall_s']:.4f}", f"{e['speedup']:.1f}x"]
         for e in result["local_eval"]
     ]
-    global_headers = ["workload", "kernel (s)", "row path (s)", "speedup"]
-    global_rows = [
-        [e["workload"], f"{e['kernel_wall_s']:.4f}",
-         f"{e['row_wall_s']:.4f}", f"{e['speedup']:.1f}x"]
-        for e in result["global_eval"]
-    ]
+    kernel_headers = ["workload", "kernel (s)", "row path (s)", "speedup"]
+
+    def kernel_rows(section):
+        return [
+            [e["workload"], f"{e['kernel_wall_s']:.4f}",
+             f"{e['row_wall_s']:.4f}", f"{e['speedup']:.1f}x"]
+            for e in result[section]
+        ]
+
     return (
         text
         + "\n\nwarm local evaluation (columnar kernels vs row path):\n"
         + format_table(eval_headers, eval_rows)
         + "\n\nwarm CA_G3 evaluation (columnar kernel vs row path):\n"
-        + format_table(global_headers, global_rows)
+        + format_table(kernel_headers, kernel_rows("global_eval"))
+        + "\n\nwarm CA_G2 outerjoin (column merge vs row path):\n"
+        + format_table(kernel_headers, kernel_rows("outerjoin"))
     )
 
 

@@ -47,7 +47,8 @@ def test_phase_o_scan(benchmark, setup):
 
 
 def test_outerjoin_materialization(benchmark, setup):
-    from repro.core.decompose import attributes_needed
+    """Step CA_G2 over the column slices the sites export (CA_C1)."""
+    from repro.core.strategies.centralized import export_site
     from repro.integration.outerjoin import materialize
 
     workload, _decomposed = setup
@@ -55,20 +56,12 @@ def test_outerjoin_materialization(benchmark, setup):
     classes = (workload.query.range_class,) + workload.query.branch_classes(
         system.global_schema.schema
     )
-    exports = {}
-    for cls in classes:
-        per_db = {}
-        for db_name, db in system.databases.items():
-            local = system.global_schema.constituent_class(db_name, cls)
-            if local is None:
-                continue
-            needed = attributes_needed(workload.query, system.global_schema, cls)
-            per_db[db_name] = db.scan_for_export(
-                local,
-                tuple(a for a in needed
-                      if db.schema.cls(local).has_attribute(a)),
-            )
-        exports[cls] = per_db
+    exports = {cls: {} for cls in classes}
+    for db_name in system.databases:
+        for cls, _, piece in export_site(
+            system, db_name, workload.query, classes
+        ):
+            exports[cls][db_name] = piece
 
     extent = benchmark(
         materialize, classes, system.global_schema, system.catalog, exports

@@ -28,7 +28,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.conditions.algebra import (
     FluxEpoch,
@@ -42,6 +42,9 @@ from repro.conditions.algebra import (
 from repro.conditions.reasons import DegradationReason
 from repro.core.tvl import TV
 from repro.errors import ReproError
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.objectdb.columnar import ExportSlice
 
 
 class RepairError(ReproError):
@@ -119,9 +122,10 @@ class CentralizedRepairState:
 
     query: object
     involved_classes: Tuple[str, ...]
-    #: global class -> site -> exported objects (the partial
-    #: materialization input the degraded run fused).
-    exports_by_class: Dict[str, Dict[str, list]]
+    #: global class -> site -> exported slice (the partial
+    #: materialization input the degraded run fused; each slice is a
+    #: snapshot, so later writes at a site never reach it).
+    exports_by_class: Dict[str, Dict[str, ExportSlice]]
     #: Sites whose exports were never shipped.
     skipped_sites: Tuple[str, ...]
 
@@ -443,8 +447,8 @@ class ReCertifier:
             shipped = export_site(
                 system, site, state.query, state.involved_classes
             )
-            for global_class, _, objs in shipped:
-                exports.setdefault(global_class, {})[site] = objs
+            for global_class, _, piece in shipped:
+                exports.setdefault(global_class, {})[site] = piece
             if shipped:
                 contacted.append(site)
                 messages += 2

@@ -135,7 +135,9 @@ def _merge_entity_attribute(
 ) -> Value:
     """Merge one attribute across every copy of one entity.
 
-    Mirrors the merge of :func:`repro.integration.outerjoin.integrate_class`:
+    Mirrors, for one entity, the column merge of
+    :func:`repro.integration.outerjoin.integrate_class` (whose
+    per-object form is :func:`repro.difftest.rowpath.integrate_class_rows`):
     constituent order, first-non-null for single-valued attributes, the
     distinct union for multi-valued ones, LOid->GOid translation with
     dangling references treated as missing.

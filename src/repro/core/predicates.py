@@ -327,13 +327,15 @@ class DnfOutcome:
         """
         if self.tv is not TV.UNKNOWN:
             return ()
+        # Deduplicated by equality, not hashing: an operand may be
+        # unhashable (``a = [1]``).
         collected: List[PredicateOutcome] = []
-        seen = set()
+        seen: List[Predicate] = []
         for conj in self.conjunctions:
             if conj.tv is TV.UNKNOWN:
                 for outcome in conj.unsolved:
                     if outcome.predicate not in seen:
-                        seen.add(outcome.predicate)
+                        seen.append(outcome.predicate)
                         collected.append(outcome)
         return tuple(collected)
 

@@ -2,7 +2,8 @@
 
 Every object of the local root and branch classes is shipped to the
 global processing site (projected on the LOid and the attributes the
-query involves, step CA_C1).  The site outerjoins the constituent extents
+query involves, step CA_C1; a site ships column slices of its cached
+columnar views).  The site outerjoins the constituent extents
 of each global class over GOid (phases O and I fused, step CA_G2) and
 evaluates the predicates on the materialized global classes (phase P,
 step CA_G3).
@@ -32,28 +33,28 @@ from repro.objectdb.columnar import (
     TRUE_CODE,
     UNKNOWN_CODE,
     ColumnarRows,
+    ExportSlice,
 )
-from repro.objectdb.objects import LocalObject
 from repro.objectdb.values import NULL
 from repro.obs.spans import TraceEvent
 from repro.sim.metrics import ExecutionMetrics, WorkCounters
 from repro.sim.taskgraph import PHASE_I, PHASE_P, PHASE_SCAN
 
 
-def export_site(
+def export_targets(
     system: DistributedSystem,
     db_name: str,
     query: Query,
     involved_classes: Sequence[str],
-) -> List[Tuple[str, int, List[LocalObject]]]:
-    """Step CA_C1 at one site: retrieve and project its extents.
+) -> List[Tuple[str, str, Tuple[str, ...]]]:
+    """What step CA_C1 ships from one site.
 
-    One ``(global class, projected attribute count, objects)`` entry per
-    involved class the site holds a constituent of, each extent
-    projected on the LOid and the attributes the query involves.
+    One ``(global class, local class, projected attributes)`` entry per
+    involved class the site holds a constituent of: the LOid plus the
+    attributes the query involves that the local class defines.
     """
     db = system.db(db_name)
-    shipped = []
+    targets = []
     for global_class in involved_classes:
         local_class = system.global_schema.constituent_class(
             db_name, global_class
@@ -62,33 +63,55 @@ def export_site(
             continue
         needed = attributes_needed(query, system.global_schema, global_class)
         local_cls = db.schema.cls(local_class)
-        local_needed = tuple(a for a in needed if local_cls.has_attribute(a))
-        shipped.append((
+        targets.append((
             global_class,
-            len(local_needed),
-            db.scan_for_export(local_class, local_needed),
+            local_class,
+            tuple(a for a in needed if local_cls.has_attribute(a)),
         ))
-    return shipped
+    return targets
 
 
-def materialize_query(system: DistributedSystem, query: Query) -> GlobalExtent:
+def export_site(
+    system: DistributedSystem,
+    db_name: str,
+    query: Query,
+    involved_classes: Sequence[str],
+) -> List[Tuple[str, int, ExportSlice]]:
+    """Step CA_C1 at one site: retrieve and project its extents.
+
+    One ``(global class, projected attribute count, slice)`` entry per
+    :func:`export_targets` entry.
+    """
+    db = system.db(db_name)
+    return [
+        (global_class, len(attrs), db.scan_for_export(local_class, attrs))
+        for global_class, local_class, attrs in export_targets(
+            system, db_name, query, involved_classes
+        )
+    ]
+
+
+def materialize_query(
+    system: DistributedSystem,
+    query: Query,
+    stats: Optional[IntegrationStats] = None,
+) -> GlobalExtent:
     """Steps CA_C1 and CA_G2 with every site reachable.
 
     The global extent a fault-free CA execution evaluates in CA_G3;
-    the oracle and the hot-path bench evaluate it on the kernel and on
-    the per-object reference side by side.
+    the oracle and the hot-path bench hold it (and *stats*) to the
+    per-object reference,
+    :func:`repro.difftest.rowpath.materialize_query_rows`.
     """
     schema = system.global_schema
     involved = (query.range_class,) + query.branch_classes(schema.schema)
-    exports: Dict[str, Dict[str, List[LocalObject]]] = {
-        cls: {} for cls in involved
-    }
+    exports: Dict[str, Dict[str, ExportSlice]] = {cls: {} for cls in involved}
     for db_name in system.databases:
-        for global_class, _, objs in export_site(
+        for global_class, _, shipped in export_site(
             system, db_name, query, involved
         ):
-            exports[global_class][db_name] = objs
-    return materialize(involved, schema, system.catalog, exports)
+            exports[global_class][db_name] = shipped
+    return materialize(involved, schema, system.catalog, exports, stats)
 
 
 def evaluate_global_extent(
@@ -281,7 +304,7 @@ class CentralizedStrategy(Strategy):
         )
 
         # --- step CA_C1: each site retrieves, projects and ships extents ---
-        exports_by_class: Dict[str, Dict[str, List[LocalObject]]] = {
+        exports_by_class: Dict[str, Dict[str, ExportSlice]] = {
             cls: {} for cls in involved_classes
         }
         ship_nodes = []
@@ -304,10 +327,10 @@ class CentralizedStrategy(Strategy):
             site_bytes = 0
             site_objects = 0
             shipped = export_site(system, db_name, query, involved_classes)
-            for global_class, n_attrs, objs in shipped:
-                exports_by_class[global_class][db_name] = objs
-                site_bytes += len(objs) * cost.object_bytes(n_attrs)
-                site_objects += len(objs)
+            for global_class, n_attrs, piece in shipped:
+                exports_by_class[global_class][db_name] = piece
+                site_bytes += len(piece) * cost.object_bytes(n_attrs)
+                site_objects += len(piece)
             if not shipped:
                 continue
             work.objects_scanned += site_objects

@@ -19,8 +19,11 @@ reproduce.  What it checks:
     assistant checks), re-running on the federation's row-path view
     (:func:`repro.difftest.rowpath.row_path_view`) yields an answer
     strictly equal to the kernel run's — the transparency contract.
-    CA reaches no database kernel; its CA_G3 kernel is held to the same
-    contract instead: the per-object reference
+    CA is held to the same contract step by step instead: its column
+    export and outerjoin must build the per-object reference's extent
+    (:func:`repro.difftest.rowpath.materialize_query_rows`: same
+    objects, ``IntegrationStats`` and mapping probes), and the
+    per-object CA_G3
     (:func:`repro.difftest.rowpath.evaluate_global_extent_rows`) over
     the fault-free materialized extent must reproduce CA's answer, and
     its meter the kernel's comparison and deref charges.
@@ -89,7 +92,12 @@ from repro.core.strategies.centralized import (
 )
 from repro.core.system import DistributedSystem
 from repro.difftest.cases import FuzzCase
-from repro.difftest.rowpath import evaluate_global_extent_rows, row_path_view
+from repro.difftest.rowpath import (
+    evaluate_global_extent_rows,
+    materialize_query_rows,
+    row_path_view,
+)
+from repro.integration.outerjoin import GlobalExtent, IntegrationStats
 from repro.objectdb.ids import GOid
 from repro.objectdb.values import is_null
 
@@ -131,6 +139,26 @@ def case_digest(case: FuzzCase) -> str:
     built = case.build()
     session = GlobalQueryEngine(built.system).session(name="difftest")
     return answer_digest(session.execute(built.query, "CA").results)
+
+
+def _extent_difference(left: GlobalExtent, right: GlobalExtent) -> str:
+    """Why two materialized extents differ ("" when they are equal).
+
+    Equal means the same classes, and per class the same objects in
+    the same order, each with the same values in the same attribute
+    order and the same ``sources``.
+    """
+    if left.classes() != right.classes():
+        return f"classes {left.classes()} vs {right.classes()}"
+    for cls in left.classes():
+        mine, theirs = left.extent(cls), right.extent(cls)
+        if list(mine) != list(theirs):
+            return f"{cls}: GOids or their order differ"
+        for goid, obj in mine.items():
+            other = theirs[goid]
+            if obj != other or list(obj.values) != list(other.values):
+                return f"{cls} {goid}: {obj} vs {other}"
+    return ""
 
 
 def _first_difference(left: ResultSet, right: ResultSet) -> str:
@@ -258,7 +286,7 @@ class StrategyOracle:
 
         The transparency contract of the columnar extent kernels: batch
         3VL local evaluation, the missing-data scan, batched assistant
-        checks and CA_G3 must reproduce the per-object row path byte
+        checks and CA's steps must reproduce the per-object row path byte
         for byte.  Each non-exempt localized strategy is re-run on the
         federation's row-path view with the same options and compared
         strictly against its kernel answer; CA is checked step by step
@@ -287,13 +315,36 @@ class StrategyOracle:
         return violations
 
     def _check_global_kernel(self, case, session, built, answer):
-        """CA_G3 on the kernel vs the per-object reference.
+        """CA on columns vs the per-object references, step by step.
 
-        Both evaluate the fault-free materialized extent: the reference
-        answer must equal CA's, its ``NullAttr`` conditions the kernel's
-        row by row, and its meter the kernel's charges.
+        CA_C1 + CA_G2: the column export and merge must build the
+        reference's extent (objects, ``sources``), ``IntegrationStats``
+        and mapping-table probe counts.  CA_G3: both evaluators run on
+        the fault-free materialized extent; the reference answer must
+        equal CA's, its ``NullAttr`` conditions the kernel's row by
+        row, and its meter the kernel's charges.
         """
-        extent = materialize_query(built.system, built.query)
+        catalog = built.system.catalog
+        before = catalog.cache_stats()
+        kernel_stats, row_stats = IntegrationStats(), IntegrationStats()
+        extent = materialize_query(built.system, built.query, kernel_stats)
+        middle = catalog.cache_stats()
+        reference = materialize_query_rows(
+            built.system, built.query, row_stats
+        )
+        kernel_probes = middle.delta(before)
+        row_probes = catalog.cache_stats().delta(middle)
+        merge = _extent_difference(extent, reference)
+        if not merge and kernel_stats != row_stats:
+            merge = f"stats {kernel_stats} vs {row_stats}"
+        if not merge and kernel_probes != row_probes:
+            merge = f"mapping probes {kernel_probes} vs {row_probes}"
+        violations = []
+        if merge:
+            violations.append(Violation(
+                "columnar", case.label,
+                f"CA: CA_G2 outerjoin vs row path: {merge}", case,
+            ))
         conditions = session.options.conditions
         kernel_meter, row_meter = EvalMeter(), EvalMeter()
         kernel = evaluate_global_extent(
@@ -302,7 +353,6 @@ class StrategyOracle:
         rows = evaluate_global_extent_rows(
             built.query, extent, row_meter, conditions
         ).sort()
-        violations = []
         if not same_answers(answer, rows):
             violations.append(Violation(
                 "columnar", case.label,

@@ -20,7 +20,7 @@ registry.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import MappingError
 from repro.objectdb.ids import GOid, LOid
@@ -132,6 +132,14 @@ class MappingTable:
         else:
             self.stats.hits += 1
         return goid
+
+    def goids_of(self, loids: Sequence[LOid]) -> List[Optional[GOid]]:
+        """:meth:`goid_of` of each of *loids*: one counted probe apiece."""
+        found = list(map(self._by_loid.get, loids))
+        hits = sum(map(bool, found))  # a GOid is always truthy
+        self.stats.hits += hits
+        self.stats.misses += len(found) - hits
+        return found
 
     def loids_of(self, goid: GOid) -> Dict[str, LOid]:
         """Per-database LOids of the entity (copy; may be empty)."""

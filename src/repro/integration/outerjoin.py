@@ -12,6 +12,13 @@ GOid* (paper, step CA_G2 and Figure 6):
   (that is what makes the join *outer*);
 * multi-valued global attributes collect all distinct contributed values.
 
+Sites ship column slices of their cached columnar views
+(:class:`~repro.objectdb.columnar.ExportSlice`), and the join runs on
+them: every exported row gets its GOid's rank, then each attribute is
+merged over the slices' columns by rank.  The per-object merge this
+replaces is the reference it must reproduce,
+:func:`repro.difftest.rowpath.integrate_class_rows`.
+
 Under faults the outerjoin may run over a *partial* materialization
 (some export sites unreachable).  The centralized strategy then demotes
 every answer row, attaching ``SiteDown`` condition atoms naming the
@@ -23,14 +30,24 @@ inputs, and promotes — without re-shipping the extents that arrived.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple, Union
+from typing import (
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
 from repro.errors import MappingError
 from repro.integration.global_schema import GlobalSchema
-from repro.integration.mapping import MappingCatalog
+from repro.integration.mapping import MappingCatalog, MappingTable
+from repro.objectdb.columnar import ExportSlice
 from repro.objectdb.ids import GOid, LOid
 from repro.objectdb.objects import IntegratedObject, LocalObject
-from repro.objectdb.values import MultiValue, Value, is_null
+from repro.objectdb.values import NULL, MultiValue, Value
 
 
 @dataclass
@@ -49,44 +66,47 @@ class IntegrationStats:
         self.translations += other.translations
 
 
-class SiteExports(Mapping[str, Tuple[LocalObject, ...]]):
-    """Typed per-site export sets of one global class.
+#: One site's export of one class: a column slice (what
+#: :meth:`~repro.objectdb.database.ComponentDatabase.scan_for_export`
+#: ships) or, equivalently, the projected objects themselves.
+SiteExport = Union[ExportSlice, Iterable[LocalObject]]
 
-    The integration layer used to take a plain ``Mapping[str, Iterable]``
-    and paper over the missing-site case with
-    ``exports.get(db_name, ())  # type: ignore[call-overload]`` — an
-    untyped hole where a ``None`` or a consumed iterator could slip
-    through.  This wrapper makes the contract real: values are
-    materialized to tuples at construction (re-iterable, never mutated by
-    the join), and :meth:`for_db` returns an empty typed tuple for a site
-    that shipped nothing.
+
+class SiteExports(Mapping[str, ExportSlice]):
+    """Typed per-site export slices of one global class.
+
+    Values are :class:`~repro.objectdb.columnar.ExportSlice` objects;
+    a site given as objects is turned into a slice at construction
+    (re-iterable, never mutated by the join), and :meth:`for_db`
+    returns an empty slice for a site that shipped nothing.
     """
 
     __slots__ = ("_by_db",)
 
     def __init__(
-        self,
-        exports: Optional[Mapping[str, Iterable[LocalObject]]] = None,
+        self, exports: Optional[Mapping[str, SiteExport]] = None
     ) -> None:
-        self._by_db: Dict[str, Tuple[LocalObject, ...]] = {}
+        self._by_db: Dict[str, ExportSlice] = {}
         if exports is not None:
-            for db_name, objs in exports.items():
-                self._by_db[db_name] = tuple(objs)
+            for db_name, shipped in exports.items():
+                self._by_db[db_name] = (
+                    shipped
+                    if isinstance(shipped, ExportSlice)
+                    else ExportSlice.of_objects(shipped)
+                )
 
     @classmethod
-    def coerce(
-        cls, exports: Mapping[str, Iterable[LocalObject]]
-    ) -> "SiteExports":
+    def coerce(cls, exports: Mapping[str, SiteExport]) -> "SiteExports":
         """Wrap a plain mapping (identity when already wrapped)."""
         if isinstance(exports, cls):
             return exports
         return cls(exports)
 
-    def for_db(self, db_name: str) -> Tuple[LocalObject, ...]:
-        """The objects *db_name* shipped — an empty tuple for absent sites."""
-        return self._by_db.get(db_name, ())
+    def for_db(self, db_name: str) -> ExportSlice:
+        """The slice *db_name* shipped — an empty one for absent sites."""
+        return self._by_db.get(db_name, _EMPTY)
 
-    def __getitem__(self, db_name: str) -> Tuple[LocalObject, ...]:
+    def __getitem__(self, db_name: str) -> ExportSlice:
         return self._by_db[db_name]
 
     def __iter__(self):
@@ -94,6 +114,9 @@ class SiteExports(Mapping[str, Tuple[LocalObject, ...]]):
 
     def __len__(self) -> int:
         return len(self._by_db)
+
+
+_EMPTY = ExportSlice((), {})
 
 
 class GlobalExtent:
@@ -127,122 +150,232 @@ def integrate_class(
     global_class: str,
     global_schema: GlobalSchema,
     catalog: MappingCatalog,
-    exports: Mapping[str, Iterable[LocalObject]],
+    exports: Mapping[str, SiteExport],
     stats: Optional[IntegrationStats] = None,
 ) -> Dict[GOid, IntegratedObject]:
     """Outerjoin the exported constituent extents of *global_class*.
 
     Args:
-        exports: db name -> the local objects of the constituent class
-            shipped from that site (already projected on query
-            attributes); accepts a plain mapping or a
+        exports: db name -> the slice of the constituent class shipped
+            from that site (already projected on query attributes); a
+            plain mapping, objects in place of slices, or a
             :class:`SiteExports`.
         stats: optional accumulator for integration work.
 
-    Merge policy per attribute (matching Figure 6):
-        * multi-valued attributes collect all distinct non-null values;
-        * otherwise the first non-null value wins, visiting contributors
-          in the correspondence's constituent order (deterministic).
+    Every exported row gets its GOid's *rank*: the order of first
+    appearance, visiting sites in the correspondence's constituent
+    order and rows in export order.  The merge then runs attribute by
+    attribute over the slices, each rank's contributors in that same
+    order (Figure 6's policy):
 
-    Complex-attribute LOids are rewritten to the GOid of their entity;
-    a dangling local reference (never catalogued) merges as missing
-    data.  Groups, attributes and contributors are visited in that
-    order, which fixes first-non-null selection, translation charges
-    and the first error raised.
+    * a multi-valued attribute collects every non-null member;
+    * otherwise the first non-null contributor wins (its first member,
+      should it hold a multi-value);
+    * complex-attribute LOids are rewritten to the GOid of their
+      entity; a dangling local reference (never catalogued) merges as
+      missing data.
+
+    Results, ``sources``, *stats* and the mapping tables' probe counts
+    are exactly those of the per-object reference,
+    :func:`repro.difftest.rowpath.integrate_class_rows`: translations
+    are charged only on contributors the merge visits (a single-valued
+    attribute stops at its first contributor with a value).
 
     Raises:
         MappingError: when an exported object has no GOid in the catalog,
             or a complex attribute holds a non-reference value or has no
-            domain class.
+            domain class — the reference's first error, in (rank,
+            attribute, contributor) order.  *stats* are then partial.
     """
     stats = stats if stats is not None else IntegrationStats()
-    table = catalog.table(global_class)
-    cdef = global_schema.cls(global_class)
-    ordered_dbs = global_schema.databases_of(global_class)
     site_exports = SiteExports.coerce(exports)
-
-    grouped: Dict[GOid, List[LocalObject]] = {}
-    for db_name in ordered_dbs:
-        for obj in site_exports.for_db(db_name):
-            stats.objects_in += 1
-            stats.comparisons += 1  # hash probe on the join attribute
-            goid = table.goid_of(obj.loid)
-            if goid is None:
-                raise MappingError(
-                    f"exported object {obj.loid} of class {global_class!r} "
-                    "has no GOid in the mapping catalog"
-                )
-            grouped.setdefault(goid, []).append(obj)
-
-    # Per-attribute metadata hoisted out of the group loop: (name,
-    # multi_valued, is_complex, domain mapping table or None).
-    attr_meta = [
-        (
-            attr.name,
-            attr.multi_valued,
-            attr.is_complex,
+    slices = [
+        site_exports.for_db(db_name)
+        for db_name in global_schema.databases_of(global_class)
+    ]
+    goids, ranks, sources = _rank(
+        global_class, catalog.table(global_class), slices, stats
+    )
+    n = len(goids)
+    values: List[Dict[str, Value]] = [{} for _ in range(n)]
+    first_error: Optional[Tuple[int, MappingError]] = None
+    for attr in global_schema.cls(global_class).attributes:
+        name = attr.name
+        domain = (
             catalog.table(attr.domain)
             if attr.is_complex and attr.domain is not None
-            else None,
+            else None
         )
-        for attr in cdef.attributes
-    ]
-    integrated: Dict[GOid, IntegratedObject] = {}
-    for goid, contributors in grouped.items():
-        values: Dict[str, Value] = {}
-        for name, multi_valued, is_complex, domain_table in attr_meta:
+        columns = [
+            (piece.columns[name], site_ranks)
+            for piece, site_ranks in zip(slices, ranks)
+            if name in piece.columns
+        ]
+        if not columns:
+            continue
+        if attr.is_complex:
+            merged, error = _merge_references(
+                columns, n, attr.multi_valued, domain, stats
+            )
+            # Attributes run in the reference's order, so only an error
+            # at an earlier rank displaces the one already found.
+            if error is not None and (
+                first_error is None or error[0] < first_error[0]
+            ):
+                first_error = error
+        elif attr.multi_valued:
+            merged = _merge_all(columns, n)
+        else:
+            merged = _merge_first(columns, n)
+        for rank, value in enumerate(merged):
+            if value is not NULL:
+                values[rank][name] = value
+    if first_error is not None:
+        raise first_error[1]
+    stats.objects_out += n
+    return {
+        goid: IntegratedObject(goid, global_class, values[rank],
+                               tuple(sources[rank]))
+        for rank, goid in enumerate(goids)
+    }
+
+
+#: One attribute's column at one site, with each row's GOid rank.
+RankedColumn = Tuple[Sequence[Value], List[int]]
+
+
+def _rank(
+    global_class: str,
+    table: MappingTable,
+    slices: List[ExportSlice],
+    stats: IntegrationStats,
+) -> Tuple[List[GOid], List[List[int]], List[List[LOid]]]:
+    """Every row's GOid rank: one ``goid_of`` probe per exported row.
+
+    Returns the GOids in rank order, each slice's per-row ranks and
+    each rank's contributing LOids in visiting order.
+    """
+    # Keyed by the GOid's string: equal exactly when the GOids are,
+    # and hashed once per string rather than once per probe.
+    rank_of: Dict[str, int] = {}
+    goids: List[GOid] = []
+    sources: List[List[LOid]] = []
+    ranks: List[List[int]] = []
+    for piece in slices:
+        site_ranks = []
+        for loid, goid in zip(piece.loids, table.goids_of(piece.loids)):
+            if goid is None:
+                raise MappingError(
+                    f"exported object {loid} of class {global_class!r} "
+                    "has no GOid in the mapping catalog"
+                )
+            rank = rank_of.get(goid.value)
+            if rank is None:
+                rank = rank_of[goid.value] = len(goids)
+                goids.append(goid)
+                sources.append([loid])
+            else:
+                sources[rank].append(loid)
+            site_ranks.append(rank)
+        ranks.append(site_ranks)
+        stats.objects_in += len(site_ranks)
+        stats.comparisons += len(site_ranks)  # hash probe on the join attr
+    return goids, ranks, sources
+
+
+def _merge_first(columns: List[RankedColumn], n: int) -> List[Value]:
+    """Single-valued primitive attribute: first non-null contributor."""
+    merged: List[Value] = [NULL] * n
+    for column, site_ranks in columns:
+        for rank, value in zip(site_ranks, column):
+            if value is not NULL and merged[rank] is NULL:
+                if value.__class__ is MultiValue:
+                    value = next(iter(value))
+                merged[rank] = value
+    return merged
+
+
+def _merge_all(columns: List[RankedColumn], n: int) -> List[Value]:
+    """Multi-valued primitive attribute: every non-null member."""
+    buckets: List[Optional[List[Value]]] = [None] * n
+    for column, site_ranks in columns:
+        for rank, value in zip(site_ranks, column):
+            if value is NULL:
+                continue
+            bucket = buckets[rank]
+            if bucket is None:
+                bucket = buckets[rank] = []
+            if value.__class__ is MultiValue:
+                bucket.extend(value)
+            else:
+                bucket.append(value)
+    return [NULL if b is None else MultiValue(b) for b in buckets]
+
+
+def _merge_references(
+    columns: List[RankedColumn],
+    n: int,
+    multi_valued: bool,
+    domain: Optional[MappingTable],
+    stats: IntegrationStats,
+) -> Tuple[List[Value], Optional[Tuple[int, MappingError]]]:
+    """Complex attribute: members translated to GOids, then merged.
+
+    Returns the merged column and the first error as ``(rank, error)``
+    — the lowest failing rank, at its first failing contributor.
+    """
+    buckets: List[Optional[List[Value]]] = [None] * n
+    failed: Dict[int, MappingError] = {}
+    for column, site_ranks in columns:
+        for rank, value in zip(site_ranks, column):
+            if value is NULL or rank in failed:
+                continue
+            if not multi_valued and buckets[rank] is not None:
+                continue  # a single value is already merged
             collected: List[Value] = []
-            for obj in contributors:
-                raw = obj.get(name)
-                if is_null(raw):
+            members = value if value.__class__ is MultiValue else (value,)
+            for member in members:
+                if isinstance(member, GOid):
+                    collected.append(member)
                     continue
-                members = (
-                    list(raw) if isinstance(raw, MultiValue) else [raw]
-                )
-                for member in members:
-                    if is_complex:
-                        if isinstance(member, GOid):
-                            collected.append(member)
-                            continue
-                        if not isinstance(member, LOid):
-                            raise MappingError(
-                                "complex attribute holds non-reference "
-                                f"value {member!r}"
-                            )
-                        if domain_table is None:
-                            raise MappingError(
-                                "complex attribute without a domain class"
-                            )
-                        stats.translations += 1
-                        stats.comparisons += 1  # mapping-table probe
-                        translated = domain_table.goid_of(member)
-                        if translated is None:
-                            # Dangling local reference -> missing data.
-                            continue
-                        collected.append(translated)
-                    else:
-                        collected.append(member)
-                if collected and not multi_valued:
-                    break  # first non-null contributor wins
-            if collected:
-                values[name] = (
-                    MultiValue(collected) if multi_valued else collected[0]
-                )
-        integrated[goid] = IntegratedObject(
-            goid=goid,
-            class_name=global_class,
-            values=values,
-            sources=tuple(obj.loid for obj in contributors),
-        )
-        stats.objects_out += 1
-    return integrated
+                if not isinstance(member, LOid):
+                    failed[rank] = MappingError(
+                        "complex attribute holds non-reference "
+                        f"value {member!r}"
+                    )
+                    break
+                if domain is None:
+                    failed[rank] = MappingError(
+                        "complex attribute without a domain class"
+                    )
+                    break
+                stats.translations += 1
+                stats.comparisons += 1  # mapping-table probe
+                translated = domain.goid_of(member)
+                if translated is not None:  # dangling -> missing data
+                    collected.append(translated)
+            if collected and rank not in failed:
+                bucket = buckets[rank]
+                if bucket is None:
+                    buckets[rank] = collected
+                else:
+                    bucket.extend(collected)
+    if multi_valued:
+        merged = [NULL if b is None else MultiValue(b) for b in buckets]
+    else:
+        merged = [NULL if b is None else b[0] for b in buckets]
+    error = None
+    if failed:
+        rank = min(failed)
+        error = (rank, failed[rank])
+    return merged, error
 
 
 def materialize(
     global_classes: Iterable[str],
     global_schema: GlobalSchema,
     catalog: MappingCatalog,
-    exports_by_class: Mapping[str, Mapping[str, Iterable[LocalObject]]],
+    exports_by_class: Mapping[str, Mapping[str, SiteExport]],
     stats: Optional[IntegrationStats] = None,
 ) -> GlobalExtent:
     """Integrate several global classes into one :class:`GlobalExtent`."""

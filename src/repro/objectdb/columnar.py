@@ -57,8 +57,10 @@ from typing import (
     TYPE_CHECKING,
     Callable,
     Dict,
+    Iterable,
     List,
     Optional,
+    Sequence,
     Set,
     Tuple,
     Union,
@@ -74,6 +76,7 @@ from repro.objectdb.values import NULL, MultiValue, Value, is_null
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.objectdb.database import ComponentDatabase
+    from repro.objectdb.objects import LocalObject
 
 #: Packed truth codes: conjunction is ``min``, disjunction is ``max``.
 FALSE_CODE = 0
@@ -114,6 +117,45 @@ class AttributeColumn:
 
     def __len__(self) -> int:
         return len(self.values)
+
+
+class ExportSlice:
+    """One class extent as a site ships it in step CA_C1: LOids + columns.
+
+    ``loids[r]`` is row ``r``'s LOid and ``columns[attr][r]`` its value
+    of one projected attribute, :data:`NULL` when missing (absent, NULL
+    or an empty multi-value).  A slice taken from a
+    :class:`ColumnarExtent` shares that view's arrays: it is a snapshot
+    of the extent's ``data_version`` (a later write builds a new view
+    and never touches these arrays), and nobody mutates it.
+    """
+
+    __slots__ = ("loids", "columns")
+
+    def __init__(
+        self, loids: Sequence[LOid], columns: Dict[str, Sequence[Value]]
+    ) -> None:
+        self.loids = loids
+        self.columns = columns
+
+    @classmethod
+    def of_objects(cls, objects: Iterable["LocalObject"]) -> "ExportSlice":
+        """A slice holding every attribute the *objects* store."""
+        objs = list(objects)
+        names = dict.fromkeys(name for obj in objs for name in obj.values)
+        return cls(
+            tuple(obj.loid for obj in objs),
+            {
+                name: [
+                    NULL if is_null(value) else value
+                    for value in (obj.values.get(name, NULL) for obj in objs)
+                ]
+                for name in names
+            },
+        )
+
+    def __len__(self) -> int:
+        return len(self.loids)
 
 
 class WalkColumn:
@@ -286,7 +328,7 @@ class ColumnarRows:
         self._reached: Dict[Tuple[str, ...], _Reach] = {}
         self._walks: Dict[Tuple[str, ...], WalkColumn] = {}
         self._compares: Dict[object, "_CompareColumn"] = {}
-        self._preds: Dict[Predicate, PredicateColumn] = {}
+        self._preds: Dict[Tuple[type, Predicate], PredicateColumn] = {}
         self._dnfs: Dict[Tuple[Conjunction, ...], Optional[DnfSummary]] = {}
 
     def __len__(self) -> int:
@@ -389,7 +431,9 @@ class ColumnarRows:
     # --- compare columns ---------------------------------------------------
 
     def _compare(self, path: Path, op: Op, operand: Value) -> "_CompareColumn":
-        key = (path.steps, op, operand)
+        # Keyed by the operand's type too: ``1 == 1.0 == True``, but an
+        # error message names the operand itself.
+        key = (path.steps, op, type(operand), operand)
         try:
             col = self._compares.get(key)
         except TypeError:  # unhashable operand: build uncached
@@ -440,13 +484,14 @@ class ColumnarRows:
 
     def predicate_column(self, predicate: Predicate) -> PredicateColumn:
         """Evaluate *predicate* over every row in one pass (cached)."""
+        key = (type(predicate.operand), predicate)
         try:
-            col = self._preds.get(predicate)
+            col = self._preds.get(key)
         except TypeError:  # unhashable operand: build uncached
             return self._build_predicate(predicate)
         if col is None:
             col = self._build_predicate(predicate)
-            self._preds[predicate] = col
+            self._preds[key] = col
         return col
 
     def _build_predicate(self, predicate: Predicate) -> PredicateColumn:
@@ -546,7 +591,7 @@ class ColumnarExtent(ColumnarRows):
         local predicate columns apart from CA_G3's.)
         """
         try:
-            return self._preds[predicate]
+            return self._preds[(type(predicate.operand), predicate)]
         except KeyError:
             return super().predicate_column(predicate)
         except TypeError:

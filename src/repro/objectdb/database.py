@@ -10,7 +10,8 @@ the two kinds of requests a site receives in the paper's protocols:
   by LOid and evaluate appended unsolved predicates on them.
 
 It also serves the centralized strategy's full-extent export (step CA_C1),
-projected on the attributes the query needs.
+projected on the attributes the query needs, as column slices of its
+cached columnar views.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from repro.errors import ObjectStoreError, UnknownClassError
 from repro.objectdb.columnar import (
     CODE_OF_TV,
     ColumnarExtent,
+    ExportSlice,
     FALSE_CODE,
     PredicateColumn,
     TV_OF_CODE,
@@ -210,20 +212,24 @@ class ComponentDatabase:
 
     def scan_for_export(
         self, class_name: str, attributes: Tuple[str, ...]
-    ) -> List[LocalObject]:
-        """Return the whole extent projected on *attributes* (plus LOid).
+    ) -> ExportSlice:
+        """The whole extent projected on *attributes* (plus LOid).
 
+        A read-only slice of the cached columnar view: its LOids and
+        one value column per projected attribute, in extent order.
         Attributes the class does not define are simply absent from the
         projection (they will integrate as missing data).
         """
-        local_attrs = tuple(
-            a
-            for a in attributes
-            if self.schema.cls(class_name).has_attribute(a)
+        cdef = self.schema.cls(class_name)
+        view = self.columnar_extent(class_name)
+        return ExportSlice(
+            view.loids,
+            {
+                a: view.column(a).values
+                for a in attributes
+                if cdef.has_attribute(a)
+            },
         )
-        return [
-            obj.project(local_attrs) for obj in self.extent(class_name).values()
-        ]
 
     # --- local query execution (steps BL_C1 / PL_C2) -------------------------
 

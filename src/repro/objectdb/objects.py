@@ -43,23 +43,6 @@ class LocalObject:
         """Names of attributes stored explicitly as NULL."""
         return [name for name, value in self.values.items() if is_null(value)]
 
-    def project(self, attributes: Tuple[str, ...]) -> "LocalObject":
-        """Return a copy of this object restricted to *attributes*.
-
-        Used by the optimization in step CA_C1: objects are projected on
-        the LOid and the attributes involved in the query before being
-        transferred to the global processing site.
-        """
-        return LocalObject(
-            loid=self.loid,
-            class_name=self.class_name,
-            values={
-                name: self.values[name]
-                for name in attributes
-                if name in self.values
-            },
-        )
-
     def validate_against(self, cdef: ClassDef) -> None:
         """Raise :class:`ObjectStoreError` if values violate *cdef*.
 

@@ -257,6 +257,20 @@ class TestColumnarExtentKernels:
         assert len(second) == len(first) + 1
 
 
+    def test_equal_operands_of_different_types_are_distinct_columns(self):
+        """``1 == True``, yet ``a < True`` must name its own operand."""
+        db = make_db([("c1", {"a": "x"})])
+        col = db.columnar_extent("C")
+        for operand in (1, True, 1.0):
+            pred = Predicate(path=Path.of("a"), op=Op.LT, operand=operand)
+            with pytest.raises(QueryError) as row:
+                evaluate_predicate(col.objects[0], pred, db.deref)
+            error = col.predicate_column(pred).errors[0]
+            assert str(error) == str(row.value) == (
+                f"cannot order-compare 'x' with {operand!r}"
+            )
+
+
 class TestExecuteLocalParity:
     WHERES = [
         ((Predicate(path=Path.of("a"), op=Op.EQ, operand=1),),),

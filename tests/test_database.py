@@ -106,9 +106,27 @@ class TestStorage:
 class TestScanForExport:
     def test_projects_local_attributes(self):
         db = make_db()
-        objs = db.scan_for_export("Student", ("name", "nonexistent"))
-        assert len(objs) == 4
-        assert all(set(o.values) <= {"name"} for o in objs)
+        export = db.scan_for_export("Student", ("name", "nonexistent"))
+        assert len(export) == 4
+        assert list(export.loids) == [
+            LOid("DB", sid) for sid in ("s1", "s2", "s3", "s4")
+        ]
+        assert list(export.columns) == ["name"]
+        assert list(export.columns["name"]) == ["John", "Tony", "Mary", "Ann"]
+
+    def test_slice_is_a_snapshot(self):
+        """A later write never reaches an export already shipped."""
+        db = make_db()
+        export = db.scan_for_export("Student", ("age",))
+        assert list(export.columns["age"]) == [30, 20, NULL, 40]
+        obj = db.get(LOid("DB", "s3"))
+        obj.values["age"] = 25
+        db.note_mutation("Student")
+        db.insert(LocalObject(LOid("DB", "s5"), "Student", {"age": 50}))
+        assert list(export.columns["age"]) == [30, 20, NULL, 40]
+        assert len(export) == 4
+        fresh = db.scan_for_export("Student", ("age",))
+        assert list(fresh.columns["age"]) == [30, 20, 25, 40, 50]
 
 
 class TestExecuteLocal:

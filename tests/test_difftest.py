@@ -180,6 +180,56 @@ class TestOracle:
         if corruption == "charges":
             assert all("meter" in detail for detail in flagged)
 
+    @pytest.mark.parametrize("corruption", ["fill", "charges"])
+    def test_columnar_invariant_catches_a_corrupted_merge(
+        self, monkeypatch, corruption
+    ):
+        """CA_G2's column merge is held to its per-object reference.
+
+        ``fill``: the first contributor wins even when its value is
+        missing, so isomeric copies no longer fill in missing data.
+        ``charges``: one extra comparison per merged reference
+        attribute, which changes only the ``IntegrationStats``.  (A
+        last-non-null-wins merge would pass here: generated isomeric
+        copies never disagree on a value; the parity tests in
+        test_outerjoin.py catch it.)
+        """
+        import repro.integration.outerjoin as outerjoin
+        from repro.objectdb.values import NULL
+
+        real = outerjoin._merge_references
+
+        def first_contributor(columns, n):
+            merged, seen = [NULL] * n, set()
+            for column, ranks in columns:
+                for rank, value in zip(ranks, column):
+                    if rank not in seen:
+                        seen.add(rank)
+                        merged[rank] = value
+            return merged
+
+        def overcharged(columns, n, multi_valued, domain, stats):
+            stats.comparisons += 1
+            return real(columns, n, multi_valued, domain, stats)
+
+        if corruption == "fill":
+            monkeypatch.setattr(outerjoin, "_merge_first", first_contributor)
+        else:
+            monkeypatch.setattr(outerjoin, "_merge_references", overcharged)
+        violations = StrategyOracle().check(FuzzCase(seed=11, scale=0.01))
+        flagged = [
+            v.detail for v in violations if v.invariant == "columnar"
+        ]
+        assert any(
+            detail.startswith("CA: CA_G2 outerjoin vs row path")
+            for detail in flagged
+        )
+        assert all(detail.startswith("CA: ") for detail in flagged)
+        if corruption == "charges":
+            assert flagged == [
+                detail for detail in flagged if "stats" in detail
+            ]
+
     def test_replay_committed_cases_clean(self):
         stream = io.StringIO()
         violations = replay_cases([CASES_DIR], stream=stream)

@@ -134,12 +134,25 @@ class TestParity:
 
     def test_unhashable_operand_is_evaluated_uncached(self):
         # No fallback exists: the view builds such columns uncached.
-        extent = make_extent([("g2", {"a": [1]}), ("g1", {"a": 2})])
-        query = Query(range_class="G", targets=(Path.of("a"),),
-                      where=((pred("a", Op.EQ, [1]),),))
+        # g3's null ``a`` leaves the unhashable predicate unsolved, in
+        # both disjuncts: the maybe row lists it once.
+        extent = make_extent(
+            [("g2", {"a": [1]}), ("g1", {"a": 2}), ("g3", {})]
+        )
+        query = Query(range_class="G", targets=(Path.of("a"),), where=(
+            (pred("a", Op.EQ, [1]),),
+            (pred("a", Op.EQ, [1]), pred("name", Op.EQ, "z")),
+        ))
         kernel, kernel_meter, rows, row_meter = both(query, extent)
         assert [r.goid for r in kernel.certain] == [GOid("g2")]
+        assert [r.goid for r in kernel.maybe] == [GOid("g3")]
+        assert [str(p) for p in kernel.maybe[0].unsolved] == [
+            "a = [1]", "name = 'z'",
+        ]
         assert kernel.to_dicts() == rows.to_dicts()
+        for left, right in zip(kernel.all_results(), rows.all_results()):
+            assert left == right
+            assert left.conditions == right.conditions
         assert kernel_meter == row_meter
 
 

@@ -39,13 +39,6 @@ class TestLocalObject:
         obj = student(name="John", age=NULL)
         assert obj.null_attributes() == ["age"]
 
-    def test_project(self):
-        obj = student(name="John", sex="male")
-        projected = obj.project(("name", "absent"))
-        assert projected.values == {"name": "John"}
-        assert projected.loid == obj.loid
-        assert projected.class_name == obj.class_name
-
     def test_validate_ok(self):
         obj = student(name="John", advisor=LOid("DB1", "t1"))
         obj.validate_against(CDEF)
